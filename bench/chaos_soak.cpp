@@ -14,7 +14,7 @@
 //
 //   chaos_soak --cli BIN --impl F --spec F --out-dir DIR
 //              [--schedules N] [--seed-base S] [--plan-len K]
-//              [--modes jobs,isolate,fleet,serve,batch] [--keep] [--verbose]
+//              [--modes jobs,isolate,serve,batch] [--keep] [--verbose]
 
 #include <dirent.h>
 #include <signal.h>
@@ -211,32 +211,9 @@ void runEngineSchedule(const Context& ctx, PoolWatchdog& dog,
                        std::vector<std::string>* vio) {
   const std::string jdir = sdir + "/j";
 
-  std::string workers;
-  if (mode == "fleet") {
-    for (int a = 1; a <= 2; ++a) {
-      const std::string pf = sdir + "/port" + std::to_string(a);
-      if (!dog.spawn("agent" + std::to_string(a), 1,
-                     {ctx.cli, "--serve-worker", "0", "--port-file", pf},
-                     sdir + "/agent" + std::to_string(a) + ".log", {})
-               .isOk()) {
-        vio->push_back("cannot spawn fleet agent " + std::to_string(a));
-        break;
-      }
-      const std::string port = waitPort(pf, 20.0);
-      if (port.empty()) {
-        vio->push_back("fleet agent " + std::to_string(a) +
-                       " never published a port");
-        break;
-      }
-      if (!workers.empty()) workers += ",";
-      workers += "127.0.0.1:" + port;
-    }
-  }
-
   std::vector<std::string> argv = engineArgs(ctx);
   append(argv, {"--journal", jdir, "--out", sdir + "/faulted.blif"});
   if (mode == "isolate") append(argv, {"--isolate"});
-  if (mode == "fleet" && !workers.empty()) append(argv, {"--workers", workers});
   const RunResult faulted =
       runToCompletion(dog, "faulted", argv, sdir + "/faulted.log",
                       {"SYSECO_FAULT_PLAN=" + planPath}, ctx.deadline);
@@ -245,11 +222,6 @@ void runEngineSchedule(const Context& ctx, PoolWatchdog& dog,
     vio->push_back("faulted run: unstructured outcome (" + describe(faulted) +
                    ")");
   vlog(mode + " faulted run: " + describe(faulted));
-
-  if (mode == "fleet") {
-    dog.terminate("agent1", 1.0);
-    dog.terminate("agent2", 1.0);
-  }
 
   // Heal fault-free: --resume adopts the committed prefix (or runs fresh
   // over an empty journal) and must land the reference result.
@@ -405,7 +377,7 @@ void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --cli BIN --impl FILE --spec FILE --out-dir DIR\n"
                "          [--schedules N] [--seed-base S] [--plan-len K]\n"
-               "          [--modes jobs,isolate,fleet,serve,batch]\n"
+               "          [--modes jobs,isolate,serve,batch]\n"
                "          [--keep] [--verbose]\n",
                argv0);
   std::exit(2);
@@ -419,8 +391,7 @@ int main(int argc, char** argv) {
   std::uint64_t seedBase = 1;
   std::size_t planLen = 4;
   bool keep = false;
-  std::vector<std::string> modes = {"jobs", "isolate", "fleet", "serve",
-                                    "batch"};
+  std::vector<std::string> modes = {"jobs", "isolate", "serve", "batch"};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
@@ -440,8 +411,12 @@ int main(int argc, char** argv) {
       modes.clear();
       std::istringstream ms(value());
       std::string m;
-      while (std::getline(ms, m, ','))
-        if (!m.empty()) modes.push_back(m);
+      while (std::getline(ms, m, ',')) {
+        if (m.empty()) continue;
+        if (m != "jobs" && m != "isolate" && m != "serve" && m != "batch")
+          usage(argv[0]);
+        modes.push_back(m);
+      }
     } else usage(argv[0]);
   }
   if (ctx.cli.empty() || ctx.impl.empty() || ctx.spec.empty() ||

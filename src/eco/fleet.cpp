@@ -33,8 +33,7 @@ bool stopped(const FleetAgentOptions& opt) {
 }
 
 /// Makes sure the cache holds the case `caseCrc` names, fetching it from
-/// the supervisor on a miss. Shared by the per-output and whole-case task
-/// paths. Returns the resident entry, or null when the connection should be
+/// the supervisor on a miss. Returns the resident entry, or null when the connection should be
 /// dropped (transport break, bad payload, shutdown).
 CaseCacheLru::Entry* ensureCase(int fd, std::string& rx,
                                 std::uint32_t caseCrc, CaseCacheLru& cache,
@@ -128,103 +127,6 @@ bool computeWithHeartbeats(int fd, std::string& rx, std::uint64_t epoch,
   }
   worker.join();
   return peerOpen;
-}
-
-/// Serves one task request end to end. Returns false when the connection
-/// should be dropped afterwards.
-bool serveTask(int fd, std::string& rx, const FleetTaskRequest& req,
-               CaseCacheLru& cache, const FleetAgentOptions& opt) {
-  if (opt.verbose)
-    std::fprintf(stderr,
-                 "[syseco-agent] task out=%u attempt=%lld epoch=%llu\n",
-                 req.output, static_cast<long long>(req.attempt),
-                 static_cast<unsigned long long>(req.epoch));
-  CaseCacheLru::Entry* entry = ensureCase(fd, rx, req.caseCrc, cache, opt);
-  if (entry == nullptr) return false;
-  if (req.output >= entry->c.base.numOutputs())
-    return sendFailure(fd, req.epoch, WorkerExitCause::kGarbageIpc,
-                       "task output out of range");
-
-  // Agent-side fault sites: "fleet.agent" hits every task; the per-output
-  // variant pins the blast radius to one output in tests and CI. (kCrash
-  // fires centrally inside fault::fire - std::_Exit(137).)
-  bool suppressHeartbeats = false;
-  const std::string persite = "fleet.agent.o" + std::to_string(req.output);
-  const char* sites[2] = {"fleet.agent", persite.c_str()};
-  for (const char* site : sites) {
-    const auto kind = fault::fire(site);
-    if (!kind) continue;
-    switch (*kind) {
-      case fault::Kind::kNetReset:
-        // Drop the connection between request and result.
-        return false;
-      case fault::Kind::kNetTruncate: {
-        // A complete header promising a payload that never fully arrives,
-        // then EOF: the supervisor must classify frame-truncated, not
-        // garbage-ipc (the prefix is a perfectly valid frame start).
-        const std::string full =
-            ipc::encodeFrame(ipc::kTypeFleetResult, std::string(256, 'x'));
-        (void)ioretry::writeAllRaw(
-            fd, std::string_view(full).substr(0, full.size() / 2), true);
-        return false;
-      }
-      case fault::Kind::kHang:
-        return hangUntilPeerCloses(fd, rx, opt);
-      case fault::Kind::kGarbageIpc: {
-        std::string garbled =
-            ipc::encodeFrame(ipc::kTypeFleetResult, "{\"produced\":true}");
-        garbled[garbled.size() / 2] =
-            static_cast<char>(garbled[garbled.size() / 2] ^ 0x40);
-        (void)ioretry::writeAllRaw(fd, garbled, true);
-        return true;  // keep serving; the supervisor will drop us
-      }
-      case fault::Kind::kOom:
-        return sendFailure(fd, req.epoch, WorkerExitCause::kOom,
-                           "injected allocation failure");
-      case fault::Kind::kNetDelay: {
-        // Outlive the lease with no heartbeats, then answer anyway: the
-        // supervisor must have reclaimed the task by then and must discard
-        // this duplicate by epoch.
-        const int totalMs =
-            static_cast<int>(req.leaseSeconds * 1500.0) + 200;
-        for (int waited = 0; waited < totalMs && !stopped(opt); waited += 100)
-          subprocess::pollReadable({}, 100);
-        suppressHeartbeats = true;
-        break;
-      }
-      default:
-        // Engine-internal kinds have no meaning at this site; report a
-        // cleanly contained injection.
-        return sendFailure(fd, req.epoch, WorkerExitCause::kFaultInjected,
-                           "injected fault");
-    }
-    break;  // a fired fault is handled once
-  }
-
-  std::optional<Result<WorkerPatch>> outcome;
-  const bool peerOpen = computeWithHeartbeats(
-      fd, rx, req.epoch, req.leaseSeconds, suppressHeartbeats, [&] {
-        outcome.emplace(runFleetTask(
-            entry->c.base, entry->c.spec, entry->c.options, req.output,
-            entry->c.protect, entry->baseAnalysis.get(),
-            entry->specAnalysis.get()));
-      });
-  if (!peerOpen) return false;
-
-  Result<WorkerPatch> r = std::move(*outcome);
-  if (!r.isOk())
-    return sendFailure(fd, req.epoch,
-                       r.status().code() == StatusCode::kBudgetExhausted
-                           ? WorkerExitCause::kOom
-                           : WorkerExitCause::kCrash,
-                       r.status().message());
-  const WorkerPatch patch = r.take();
-  if (opt.verbose)
-    std::fprintf(stderr, "[syseco-agent] out=%u done (produced=%d)\n",
-                 req.output, patch.produced ? 1 : 0);
-  return net::sendFrame(fd, ipc::kTypeFleetResult,
-                        encodeFleetResult(req.epoch, patch))
-      .isOk();
 }
 
 /// Serves one whole-case batch task end to end: runs the full engine on the
@@ -348,18 +250,10 @@ void serveConnection(int fd, CaseCacheLru& cache,
     net::RecvOutcome out = net::recvFrame(fd, &rx, 200);
     if (out.status == net::RecvStatus::kTimeout) continue;
     if (out.status != net::RecvStatus::kFrame) return;
-    if (out.frame.type == ipc::kTypeFleetTask) {
-      Result<FleetTaskRequest> req =
-          decodeFleetTaskRequest(out.frame.payload);
-      if (!req.isOk()) return;
-      if (!serveTask(fd, rx, req.value(), cache, opt)) return;
-    } else if (out.frame.type == ipc::kTypeFleetCaseTask) {
-      Result<FleetCaseTask> req = decodeFleetCaseTask(out.frame.payload);
-      if (!req.isOk()) return;
-      if (!serveCaseTask(fd, rx, req.value(), cache, opt)) return;
-    } else {
-      return;
-    }
+    if (out.frame.type != ipc::kTypeFleetCaseTask) return;
+    Result<FleetCaseTask> req = decodeFleetCaseTask(out.frame.payload);
+    if (!req.isOk()) return;
+    if (!serveCaseTask(fd, rx, req.value(), cache, opt)) return;
   }
 }
 

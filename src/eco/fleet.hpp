@@ -1,28 +1,25 @@
 #pragma once
-// The --serve-worker fleet agent: the remote half of the --workers
-// transport (the supervisor half lives in syseco.cpp's runFleet).
+// The --serve-worker agent: the remote half of whole-case dispatch (the
+// supervisor half is serve/batch.cpp's CaseDispatcher, driven by --batch
+// and the --serve daemon).
 //
 // An agent listens on a TCP port and serves one supervisor connection at a
-// time. Over that connection it receives SEF1-framed task requests
-// (eco/isolate.hpp fleet codecs), fetches the content-addressed case
-// payload once per crc32 key, computes each task with the exact pure
-// per-output function a local worker runs (runFleetTask), heartbeats while
-// computing so the supervisor's lease stays renewed, and ships back an
-// epoch-stamped result or a contained failure. An agent must never die on
-// a bad task: compute-side exceptions become failure frames, and transport
-// errors just drop the connection (the supervisor classifies the break).
+// time. Over that connection it receives SEF1-framed whole-case tasks
+// (kTypeFleetCaseTask), fetches the content-addressed case payload once per
+// crc32 key, runs the full engine on the resident case - same seed, same
+// options, agent-local --jobs - heartbeats while computing so the
+// supervisor's lease stays renewed, and answers with one epoch-stamped
+// envelope carrying the run report, the oracle's verdicts record and the
+// patched netlist, so a batch drains to artifacts bit-identical to running
+// every case locally. An agent must never die on a bad task: compute-side
+// exceptions become failure frames, and transport errors just drop the
+// connection (the supervisor classifies the break).
 //
-// Batch fan-out dispatches *whole cases* over the same connection
-// (kTypeFleetCaseTask): the agent runs the full engine on the resident
-// case - same seed, same options, agent-local --jobs - and answers with one
-// epoch-stamped envelope carrying the run report, the oracle's verdicts
-// record and the patched netlist, so a batch drains to artifacts
-// bit-identical to running every case locally.
-//
-// Fault-injection sites "fleet.agent" and "fleet.agent.o<output>" make the
-// agent misbehave on the wire deterministically (net-truncate / net-reset /
-// net-delay and the isolation kinds), so the supervisor's network failure
-// taxonomy is testable end to end on a loopback fleet.
+// Fault-injection sites "fleet.agent.case" and "fleet.agent.case.<name>"
+// make the agent misbehave on the wire deterministically (net-truncate /
+// net-reset / net-delay / hang and the isolation kinds), so the
+// dispatcher's network failure taxonomy is testable end to end on a
+// loopback fleet.
 
 #include <atomic>
 #include <cstdint>

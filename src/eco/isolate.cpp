@@ -331,7 +331,7 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
   return patch;
 }
 
-// --- Fleet transport payloads ---------------------------------------------
+// --- Agent case payloads ---------------------------------------------
 
 namespace {
 
@@ -362,33 +362,6 @@ bool getU64String(const JsonValue& obj, const std::string& key,
 }
 
 }  // namespace
-
-std::string encodeFleetTaskRequest(const FleetTaskRequest& req) {
-  std::ostringstream os;
-  os << std::setprecision(17);
-  os << "{\"output\":" << req.output << ",\"attempt\":" << req.attempt
-     << ",\"epoch\":";
-  putU64String(os, req.epoch);
-  os << ",\"lease_seconds\":" << req.leaseSeconds
-     << ",\"case_crc\":" << req.caseCrc << "}";
-  return os.str();
-}
-
-Result<FleetTaskRequest> decodeFleetTaskRequest(std::string_view payload) {
-  Result<JsonValue> parsed = parseJson(payload);
-  if (!parsed.isOk()) return parsed.status();
-  const JsonValue& v = parsed.value();
-  if (v.kind != JsonValue::Kind::Object) return badFleet("not an object");
-  FleetTaskRequest req;
-  if (!getU32(v, "output", &req.output) ||
-      !getI64(v, "attempt", &req.attempt) || req.attempt < 1 ||
-      req.attempt > kMaxSmallCount ||
-      !getU64String(v, "epoch", &req.epoch) ||
-      !getDouble(v, "lease_seconds", &req.leaseSeconds) ||
-      req.leaseSeconds <= 0.0 || !getU32(v, "case_crc", &req.caseCrc))
-    return badFleet("malformed task request");
-  return req;
-}
 
 std::string encodeFleetCase(const Netlist& base, const Netlist& spec,
                             const SysecoOptions& options,
@@ -523,29 +496,6 @@ Result<std::uint64_t> decodeFleetHeartbeat(std::string_view payload) {
   if (parsed.value().kind != JsonValue::Kind::Object ||
       !getU64String(parsed.value(), "epoch", &epoch))
     return badFleet("malformed heartbeat");
-  return epoch;
-}
-
-std::string encodeFleetResult(std::uint64_t epoch, const WorkerPatch& patch) {
-  // The patch document with the assignment epoch stamped into its envelope;
-  // decodeWorkerPatch ignores the extra key, so the patch half of the
-  // payload decodes through the one hardened codec both transports share.
-  std::string body = encodeWorkerPatch(patch);
-  std::ostringstream os;
-  os << "{\"epoch\":";
-  putU64String(os, epoch);
-  os << ",";
-  os << std::string_view(body).substr(1);
-  return os.str();
-}
-
-Result<std::uint64_t> peekFleetEpoch(std::string_view payload) {
-  Result<JsonValue> parsed = parseJson(payload);
-  if (!parsed.isOk()) return parsed.status();
-  std::uint64_t epoch = 0;
-  if (parsed.value().kind != JsonValue::Kind::Object ||
-      !getU64String(parsed.value(), "epoch", &epoch))
-    return badFleet("missing epoch");
   return epoch;
 }
 

@@ -38,9 +38,9 @@ struct IsolateTaskRequest {
 };
 
 /// Worker -> supervisor: one speculative per-output result, id-relative to
-/// the shared base snapshot. Also the in-process hand-off shape: the
-/// speculative thread path extracts the same struct from its worker engine,
-/// so both modes commit through one code path.
+/// the shared base snapshot. Also the in-process hand-off shape: both
+/// transports extract the same struct from the one worker function, so
+/// both commit through one code path.
 struct WorkerPatch {
   struct NewGate {
     GateType type = GateType::Const0;
@@ -74,33 +74,16 @@ std::string encodeWorkerPatch(const WorkerPatch& patch);
 Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
                                       const Netlist& base);
 
-// --- Fleet transport payloads (--workers / --serve-worker) ----------------
+// --- Agent case payloads (--batch / --serve dispatch to --serve-worker) ----
 //
-// The TCP fleet reuses the pipe transport's patch codec and grows three
-// things: a task request carrying a lease, an assignment epoch and a
-// content-addressed case reference; a one-time case-upload payload (the
-// base and spec snapshots plus the exact search-shaping options and
-// protect list, so an agent's result is the same pure function a local
-// worker computes); and epoch-stamped result/heartbeat/failure envelopes
-// so the supervisor can reject duplicates from reassigned tasks.
+// Whole-case dispatch reuses this codec family: a one-time case-upload
+// payload (the base and spec snapshots plus the exact search-shaping
+// options and a protect list), content-addressed by crc32, and epoch-
+// stamped need-case / heartbeat / failure envelopes so the dispatcher can
+// reject duplicates from reassigned cases.
 
-/// Supervisor -> agent: rectify one output. `caseCrc` is the crc32 of the
-/// encoded case payload; an agent that has not cached it answers with a
-/// need-case frame before starting. `epoch` uniquely identifies this
-/// assignment - every frame the agent sends back about the task carries it.
-struct FleetTaskRequest {
-  std::uint32_t output = 0;
-  std::int64_t attempt = 1;
-  std::uint64_t epoch = 0;
-  double leaseSeconds = 10.0;  ///< agent paces heartbeats well inside this
-  std::uint32_t caseCrc = 0;
-};
-
-std::string encodeFleetTaskRequest(const FleetTaskRequest& req);
-Result<FleetTaskRequest> decodeFleetTaskRequest(std::string_view payload);
-
-/// The decoded one-time case upload: everything a per-output task is a
-/// pure function of, minus the output index itself.
+/// The decoded one-time case upload: the netlists and search-shaping
+/// options a whole-case run is a pure function of.
 struct FleetCase {
   Netlist base;
   Netlist spec;
@@ -122,13 +105,6 @@ std::string encodeFleetNeedCase(std::uint32_t caseCrc);
 Result<std::uint32_t> decodeFleetNeedCase(std::string_view payload);
 std::string encodeFleetHeartbeat(std::uint64_t epoch);
 Result<std::uint64_t> decodeFleetHeartbeat(std::string_view payload);
-
-/// Agent -> supervisor result: a WorkerPatch document with the assignment
-/// epoch stamped in. The epoch is peeked first (cheap reject of stale
-/// results); the patch half decodes through decodeWorkerPatch, which
-/// ignores the extra key.
-std::string encodeFleetResult(std::uint64_t epoch, const WorkerPatch& patch);
-Result<std::uint64_t> peekFleetEpoch(std::string_view payload);
 
 /// Agent -> supervisor contained failure (compute threw, bad request, an
 /// injected fault the agent could still report). `cause` is a
@@ -191,31 +167,15 @@ struct FleetCaseResult {
 std::string encodeFleetCaseResult(const FleetCaseResult& result);
 Result<FleetCaseResult> decodeFleetCaseResult(std::string_view payload);
 
-/// Deterministic capped exponential retry backoff, shared by every worker
-/// transport (forked pipe workers and fleet agents). The exponential base
-/// grows with the attempt count (doubling from opt.isolateBackoffMs, capped
-/// at 5 s before jitter); the jitter fraction derives from (opt.seed,
-/// output) ONLY - not the attempt ordinal and not the transport - so the
-/// same output retries on the same schedule whether its failures came from
-/// a local subprocess or a TCP agent, and retry timing never feeds back
-/// into the pure per-output computation.
+/// Deterministic capped exponential retry backoff, shared by both
+/// per-output transports (threads and forked workers) and the whole-case
+/// dispatcher. The exponential base grows with the attempt count (doubling
+/// from opt.isolateBackoffMs, capped at 5 s before jitter); the jitter
+/// fraction derives from (opt.seed, output) ONLY - not the attempt ordinal
+/// and not the transport - so the same output retries on the same schedule
+/// whichever transport failed it, and retry timing never feeds back into
+/// the pure per-output computation.
 double retryBackoffSeconds(const SysecoOptions& opt, std::uint32_t output,
                            int failedAttempts);
-
-class NetlistAnalysis;
-
-/// The pure per-output fleet task: rectify `output` of `base` against
-/// `spec` under sanitized worker `options`, exactly as a local speculative
-/// worker would, and return the extracted patch. Shared analyses may be
-/// passed to amortize cone work across tasks on the same case (the agent
-/// caches them per case); null pointers make the engine build its own.
-/// Used by the --serve-worker agent and by the supervisor's degraded
-/// in-process path, which is what keeps the two bit-identical.
-Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
-                                 const SysecoOptions& options,
-                                 std::uint32_t output,
-                                 const std::vector<std::uint32_t>& protect,
-                                 const NetlistAnalysis* baseAnalysis,
-                                 const NetlistAnalysis* specAnalysis);
 
 }  // namespace syseco

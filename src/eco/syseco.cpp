@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -20,12 +24,9 @@
 #include "util/budget.hpp"
 #include "util/build_info.hpp"
 #include "util/check.hpp"
-#include "util/crc32.hpp"
 #include "util/fault.hpp"
-#include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/rng.hpp"
-#include "util/socket.hpp"
 #include "util/status.hpp"
 #include "util/subprocess.hpp"
 #include "util/thread_pool.hpp"
@@ -120,10 +121,6 @@ std::uint64_t derivWord(GateType type, const std::vector<const Signature*>& in,
   }
   return 0;
 }
-
-// SupportTable and the other shared structural analyses moved to
-// netlist/analysis.hpp (NetlistAnalysis): they are computed once per
-// netlist snapshot and shared read-only across outputs and worker threads.
 
 struct AttemptOutcome {
   bool applied = false;
@@ -234,11 +231,7 @@ class Engine {
     }
 
     const bool interrupted =
-        speculative
-            ? (!opt_.workers.empty() ? runFleet(failing, plan)
-               : opt_.isolate        ? runIsolated(failing, plan)
-                                     : runSpeculative(failing, plan))
-            : runSequential(failing);
+        speculative ? runSpeculative(failing, plan) : runSequential(failing);
     diag_.interrupted = interrupted;
 
     if (!interrupted) {
@@ -285,9 +278,7 @@ class Engine {
   /// cannot reproduce them) or a hand-built resume plan lacks the base
   /// netlist. Returns true when a checkpoint hook interrupted the run.
   bool runSequential(const std::vector<std::uint32_t>& failing) {
-    Netlist& w = working();
-    bool interrupted = false;
-    for (std::size_t k = 0; k < failing.size() && !interrupted; ++k) {
+    for (std::size_t k = 0; k < failing.size(); ++k) {
       // Fair-share slicing: each output is entitled to 1/left of whatever
       // conflicts, nodes and time remain - one pathological output cannot
       // starve the outputs behind it.
@@ -299,164 +290,111 @@ class Engine {
             std::max(remaining, 0.0) / static_cast<double>(left);
       ResourceGuard outGuard =
           rootGuard_.sliceSeconds(left, perOutputSeconds);
-      const bool reported = rectifyOutput(failing[k], outGuard);
-      if (reported) auditBoundary("post-patch-commit");
-      if (reported && opt_.checkpointHook) {
-        const RunCheckpoint cp{
-            diag_.outputs.back(),
-            diag_.outputs,
-            w,
-            tracker(),
-            diag_.outputs.size(),
-            plannedOutputs_,
-            restoredConflicts_ + rootGuard_.conflictsUsed(),
-            restoredBddNodes_ + rootGuard_.bddNodesUsed()};
-        if (!opt_.checkpointHook(cp)) interrupted = true;
-      }
+      if (!finishOutput(rectifyOutput(failing[k], outGuard),
+                        "post-patch-commit"))
+        return true;
     }
-    return interrupted;
+    return false;
+  }
+
+  /// The step that ends every output in every execution path: audit the
+  /// boundary the committed result crossed, then hand the checkpoint to the
+  /// journaling hook. Returns false when the hook interrupted the run.
+  bool finishOutput(bool reported, const char* auditPhase) {
+    if (!reported) return true;
+    auditBoundary(auditPhase);
+    if (!opt_.checkpointHook) return true;
+    const RunCheckpoint cp{
+        diag_.outputs.back(),
+        diag_.outputs,
+        working(),
+        tracker(),
+        diag_.outputs.size(),
+        plannedOutputs_,
+        restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_,
+        restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
+    return opt_.checkpointHook(cp);
   }
 
   /// Speculative parallel cascade: every planned output is searched by an
-  /// independent worker engine against the unpatched base snapshot, and the
+  /// independent worker against the unpatched base snapshot, and the
   /// results are committed strictly in plan order. Each per-output search is
   /// a pure function of (base netlist, spec, options, output) - the RNG is
   /// reseeded per output and worker resources are unlimited - and every
   /// commit-time decision is a deterministic function of the canonical
   /// state, so the patch, reports and journal are bit-identical for every
-  /// jobs value. Returns true when a checkpoint hook interrupted the run.
+  /// jobs value and for both transports. A failed attempt in either
+  /// transport is retried after a deterministic backoff and quarantined to
+  /// the cone-clone fallback after isolateMaxAttempts failures. Returns
+  /// true when a checkpoint hook interrupted the run.
   bool runSpeculative(const std::vector<std::uint32_t>& failing,
                       const ResumePlan* plan) {
-    Netlist& w = working();
-    // Workers search from the unpatched base. When not resuming, w *is*
-    // that base right now - but it mutates as commits land, so snapshot it.
-    const Netlist base = plan ? plan->base : w;
+    // Workers search from the unpatched base. When not resuming, the working
+    // netlist *is* that base right now - but it mutates as commits land, so
+    // snapshot it.
+    const Netlist base = plan ? plan->base : working();
     commitBaseGates_ = base.numGatesTotal();
     commitBaseNets_ = base.numNetsTotal();
-
-    const SysecoOptions workerOpt = makeWorkerOptions();
-
     // Workers protect the *full* planned output set, not just the still-
     // pending remainder: an uninterrupted run's workers see every planned
     // output as failing, and a resumed run must reproduce those workers
     // bit-exactly even though some outputs are already committed.
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
-
-    struct WorkerSlot {
-      SysecoDiagnostics frag;
-      std::unique_ptr<Engine> engine;
-      bool produced = false;
-      std::future<void> fut;
-    };
-    std::vector<WorkerSlot> slots(failing.size());
-    // jobs=1 degenerates to a zero-thread pool whose submit() runs the task
-    // inline, with a launch window of 1: the worker for output k runs
+    SpecRun run{*this, failing, base, plan ? plan->order : failing,
+                makeWorkerOptions(), std::vector<Slot>(failing.size()), {}};
+    // jobs=1 launches only the slot about to commit, so each output runs
     // exactly at commit time, in commit order, through the same code path
-    // as jobs>1. (The pool is declared after `slots` so it joins - and the
-    // in-flight tasks finish - before the slots they write into go away.)
-    ThreadPool pool(opt_.jobs > 1 ? opt_.jobs : 0);
+    // as jobs>1.
     const std::size_t window =
         opt_.jobs > 1 ? std::max<std::size_t>(2 * opt_.jobs, 4) : 1;
-    std::size_t launched = 0;
-    auto launchUpTo = [&](std::size_t limit) {
-      for (; launched < std::min(limit, slots.size()); ++launched) {
-        WorkerSlot& s = slots[launched];
-        const std::uint32_t o = failing[launched];
-        s.engine = std::make_unique<Engine>(base, spec_, workerOpt, s.frag);
-        s.engine->setSharedAnalyses(baseAnalysis_, specAnalysis_);
-        Engine* eng = s.engine.get();
-        bool* produced = &s.produced;
-        s.fut = pool.submit([eng, produced, o, &protect] {
-          *produced = eng->rectifyAsWorker(o, protect);
-        });
-      }
-    };
+    std::unique_ptr<Transport> transport;
+    if (opt_.isolate)
+      transport = std::make_unique<ForkTransport>(run);
+    else
+      transport = std::make_unique<ThreadTransport>(run, window);
 
-    bool interrupted = false;
-    for (std::size_t k = 0; k < failing.size(); ++k) {
-      launchUpTo(k + window);
-      // A worker failure must not unwind the whole run: classify it into
-      // the shared WorkerExitCause taxonomy and redo the output on the
-      // canonical netlist (the sequential cascade's view) instead.
-      WorkerExitCause cause = WorkerExitCause::kNone;
-      std::string reason;
-      try {
-        slots[k].fut.get();
-      } catch (const std::bad_alloc&) {
-        cause = WorkerExitCause::kOom;
-        reason = "allocation failure escaped the worker";
-      } catch (const std::exception& e) {
-        cause = WorkerExitCause::kCrash;
-        reason = e.what();
-      } catch (...) {
-        cause = WorkerExitCause::kCrash;
-        reason = "non-standard exception escaped the worker";
+    for (std::size_t next = 0; next < failing.size();) {
+      // Launch: fill free seats with due pending slots from the commit
+      // window, noting when the earliest backed-off one becomes due.
+      const double now = run.clock.seconds();
+      std::size_t running = std::count_if(
+          run.slots.begin(), run.slots.end(),
+          [](const Slot& s) { return s.st == SlotState::kRunning; });
+      double wakeAt = std::numeric_limits<double>::infinity();
+      const std::size_t horizon = std::min(failing.size(), next + window);
+      for (std::size_t k = next; k < horizon && running < transport->seats();
+           ++k) {
+        Slot& s = run.slots[k];
+        if (s.st != SlotState::kPending) continue;
+        if (s.notBefore > now) {
+          wakeAt = std::min(wakeAt, s.notBefore);
+          continue;
+        }
+        s.st = SlotState::kRunning;
+        transport->start(k);
+        if (s.st == SlotState::kRunning) ++running;
       }
+      if (run.slots[next].st != SlotState::kDone) {
+        transport->wait(next, wakeAt);
+        continue;
+      }
+
+      // Commit strictly in plan order.
+      Slot& s = run.slots[next];
+      const std::uint32_t o = failing[next++];
       bool reported = false;
-      if (cause == WorkerExitCause::kNone) {
-        reported = slots[k].produced &&
-                   commitWorker(failing[k],
-                                extractWorkerPatch(*slots[k].engine));
-      } else {
-        std::fprintf(stderr,
-                     "[syseco] in-process worker out=%u failed (%s: %s); "
-                     "redoing on the canonical netlist\n",
-                     failing[k], workerExitCauseName(cause), reason.c_str());
-        slots[k].engine.reset();
-        ResourceGuard redoGuard;
-        reported = rectifyOutput(failing[k], redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.workerFailedAttempts = 1;
-          rep.workerExitCause = cause;
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
+      if (run.quarantined(s)) {
+        reported = commitQuarantined(o, s.attemptsFailed, s.lastCause);
+      } else if (s.patch->produced && commitWorker(o, *s.patch)) {
+        // The commit reproduces the clean report; graft on what the retries
+        // cost (nothing on a first-try success).
+        reported = true;
+        diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
+        diag_.outputs.back().workerExitCause = s.lastCause;
       }
-      slots[k].engine.reset();  // free the worker's netlist copy promptly
-      if (reported) auditBoundary("post-patch-commit");
-      if (reported && opt_.checkpointHook) {
-        const RunCheckpoint cp{
-            diag_.outputs.back(),
-            diag_.outputs,
-            w,
-            tracker(),
-            diag_.outputs.size(),
-            plannedOutputs_,
-            restoredConflicts_ + rootGuard_.conflictsUsed() + extraConflicts_,
-            restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-        if (!opt_.checkpointHook(cp)) {
-          interrupted = true;
-          break;
-        }
-      }
+      s.patch.reset();  // free the worker's patch promptly
+      if (!finishOutput(reported, transport->auditPhase())) return true;
     }
-    // An interrupted run leaves speculation in flight; it must finish
-    // before the slots (and `failing`) go out of scope. Abandoned results
-    // are discarded, but a failure is still classified and logged - a
-    // silently swallowed crash here would hide a real defect.
-    for (std::size_t k = 0; k < launched; ++k) {
-      if (!slots[k].fut.valid()) continue;
-      try {
-        slots[k].fut.get();
-      } catch (const std::bad_alloc&) {
-        std::fprintf(stderr,
-                     "[syseco] abandoned speculative worker out=%u: %s\n",
-                     failing[k], workerExitCauseName(WorkerExitCause::kOom));
-      } catch (const std::exception& e) {
-        std::fprintf(stderr,
-                     "[syseco] abandoned speculative worker out=%u: %s (%s)\n",
-                     failing[k], workerExitCauseName(WorkerExitCause::kCrash),
-                     e.what());
-      } catch (...) {
-        std::fprintf(
-            stderr,
-            "[syseco] abandoned speculative worker out=%u: %s "
-            "(non-standard exception)\n",
-            failing[k], workerExitCauseName(WorkerExitCause::kCrash));
-      }
-    }
-    return interrupted;
+    return false;
   }
 
   /// Applies one worker's speculative result to the canonical netlist,
@@ -465,10 +403,9 @@ class Engine {
   /// earlier commits is discarded and redone against the canonical state.
   /// All commit-time solving uses a per-output commit RNG and an unlimited
   /// local guard, so the decision depends only on (seed, output, canonical
-  /// netlist) - never on scheduling. The WorkerPatch hand-off shape is
-  /// shared with the subprocess isolation mode (eco/isolate.hpp), so both
-  /// modes commit through this one path. Returns true when a report was
-  /// pushed.
+  /// netlist) - never on scheduling. Both transports hand their results
+  /// over as a WorkerPatch (eco/isolate.hpp). Returns true when a report
+  /// was pushed.
   bool commitWorker(std::uint32_t o, const WorkerPatch& patch) {
     const std::uint32_t op = specOutput(o);
     if (op == kNullId) return false;
@@ -528,18 +465,7 @@ class Engine {
       bool addsLogic = false;
       for (const auto& [sink, newNet] : finalBySink)
         addsLogic |= newNet >= commitBaseNets_;
-      if (addsLogic) {
-        ResourceGuard redoGuard;
-        const bool reported = rectifyOutput(o, redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.conflictsUsed += commitGuard.conflictsUsed();
-          rep.bddNodesUsed += commitGuard.bddNodesUsed();
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
-        return reported;
-      }
+      if (addsLogic) return redoOnCanonical(o, commitGuard);
     }
 
     // Replay the worker's patch onto the canonical netlist. Worker gate and
@@ -606,16 +532,7 @@ class Engine {
         w = std::move(*backup);
         trackerStore_.emplace(w, *preState);
         tracker_ = &*trackerStore_;
-        ResourceGuard redoGuard;
-        const bool reported = rectifyOutput(o, redoGuard);
-        if (reported) {
-          OutputReport& rep = diag_.outputs.back();
-          rep.conflictsUsed += commitGuard.conflictsUsed();
-          rep.bddNodesUsed += commitGuard.bddNodesUsed();
-          extraConflicts_ += rep.conflictsUsed;
-          extraBddNodes_ += rep.bddNodesUsed;
-        }
-        return reported;
+        return redoOnCanonical(o, commitGuard);
       }
     }
 
@@ -628,6 +545,19 @@ class Engine {
     report.bddNodesUsed += commitGuard.bddNodesUsed();
     failingSet_.erase(o);
     pushCommittedReport(std::move(report));
+    return true;
+  }
+
+  /// Redoes output `o` on the canonical netlist - the sequential cascade's
+  /// exact view - and charges it what the commit-time checks already cost.
+  bool redoOnCanonical(std::uint32_t o, const ResourceGuard& commitGuard) {
+    ResourceGuard redoGuard;
+    if (!rectifyOutput(o, redoGuard)) return false;
+    OutputReport& rep = diag_.outputs.back();
+    rep.conflictsUsed += commitGuard.conflictsUsed();
+    rep.bddNodesUsed += commitGuard.bddNodesUsed();
+    extraConflicts_ += rep.conflictsUsed;
+    extraBddNodes_ += rep.bddNodesUsed;
     return true;
   }
 
@@ -659,24 +589,6 @@ class Engine {
     diag_.secondsFallback += f.secondsFallback;
   }
 
-  /// Snapshots a worker engine's result into the commit hand-off shape
-  /// shared with the subprocess isolation path (eco/isolate.hpp).
-  WorkerPatch extractWorkerPatch(const Engine& worker) const {
-    WorkerPatch p;
-    p.produced = true;
-    p.baseGates = commitBaseGates_;
-    p.baseNets = commitBaseNets_;
-    const Netlist& wn = worker.result_.rectified;
-    for (GateId g = static_cast<GateId>(commitBaseGates_);
-         g < wn.numGatesTotal(); ++g) {
-      const auto& gate = wn.gate(g);
-      p.gates.push_back(WorkerPatch::NewGate{gate.type, gate.fanins, gate.out});
-    }
-    p.rewires = worker.tracker_->rewires();
-    p.frag = worker.diag_;
-    return p;
-  }
-
   // --- Fault-contained subprocess isolation (--isolate) --------------------
 
   /// Options a per-output worker runs with, in either execution mode: no
@@ -688,8 +600,6 @@ class Engine {
     workerOpt.resumePlan = nullptr;
     workerOpt.jobs = 1;
     workerOpt.isolate = false;
-    workerOpt.workers.clear();
-    workerOpt.fleetEventHook = nullptr;
     // Certification and auditing belong to the canonical engine: the commit
     // path re-proves worker results, and the oracle certifies the final
     // netlist once - per-worker passes would only skew timings.
@@ -878,12 +788,6 @@ class Engine {
     return bundle.take();
   }
 
-  /// Deterministic capped exponential backoff; see retryBackoffSeconds
-  /// (isolate.hpp) for the transport-independence contract.
-  double backoffSeconds(std::uint32_t o, int failedAttempts) const {
-    return retryBackoffSeconds(opt_, o, failedAttempts);
-  }
-
   /// The resource-limit code a quarantined output reports: it makes
   /// resourceDegraded() true (the CLI's degraded exit code) and names the
   /// closest-matching resource family for the failure cause.
@@ -891,7 +795,6 @@ class Engine {
     switch (cause) {
       case WorkerExitCause::kCpuTimeout:
       case WorkerExitCause::kWallTimeout:
-      case WorkerExitCause::kLeaseExpired:
         return StatusCode::kDeadlineExceeded;
       case WorkerExitCause::kOom:
         return StatusCode::kBudgetExhausted;
@@ -927,863 +830,362 @@ class Engine {
     return true;
   }
 
-  /// Runs inside the forked worker: decode the request, honor worker-side
-  /// fault injection, rectify the output against the (COW-inherited) base
-  /// snapshot and ship the WorkerPatch back. The return value becomes the
-  /// child's exit code via the forkWorker wrapper.
-  int isolatedWorkerBody(int requestFd, int responseFd, const Netlist& base,
-                         const std::vector<std::uint32_t>& protect,
-                         const SysecoOptions& workerOpt) {
-    Result<std::string> raw = subprocess::readAll(requestFd);
-    if (!raw.isOk()) return subprocess::kChildExitBadRequest;
-    Result<ipc::Frame> frame = ipc::decodeFrame(raw.value());
-    if (!frame.isOk() || frame.value().type != ipc::kTypeTaskRequest)
-      return subprocess::kChildExitBadRequest;
-    Result<IsolateTaskRequest> req = decodeTaskRequest(frame.value().payload);
-    if (!req.isOk() || req.value().output >= base.numOutputs())
-      return subprocess::kChildExitBadRequest;
-    const std::uint32_t o = req.value().output;
+  // --- Speculative execution: one commit loop, two transports -------------
 
-    // Worker-side fault sites: "isolate.worker" hits every task; the
-    // per-output variant pins the blast radius to one output in tests and
-    // CI. (kCrash fires centrally inside fault::fire - std::_Exit(137).)
+  enum class SlotState : std::uint8_t { kPending, kRunning, kDone };
+
+  /// One planned output of the speculative commit loop.
+  struct Slot {
+    SlotState st = SlotState::kPending;
+    int attemptsFailed = 0;
+    WorkerExitCause lastCause = WorkerExitCause::kNone;
+    double notBefore = 0.0;            ///< backoff: earliest relaunch time
+    std::optional<WorkerPatch> patch;  ///< the finished attempt's result
+  };
+
+  /// One speculative run: what every task is a pure function of besides its
+  /// output, the slots, and the one failure policy both transports report
+  /// their outcomes into.
+  struct SpecRun {
+    const Engine& eng;
+    const std::vector<std::uint32_t>& failing;
+    const Netlist& base;
+    const std::vector<std::uint32_t>& protect;
+    const SysecoOptions workerOpt;
+    std::vector<Slot> slots;
+    Timer clock;
+
+    void finish(std::size_t k, WorkerPatch patch) {
+      slots[k].patch.emplace(std::move(patch));
+      slots[k].st = SlotState::kDone;
+    }
+
+    /// A failed attempt: retried after the deterministic capped backoff
+    /// (retryBackoffSeconds), quarantined once isolateMaxAttempts attempts
+    /// have failed.
+    void fail(std::size_t k, WorkerExitCause cause, const std::string& reason) {
+      Slot& s = slots[k];
+      ++s.attemptsFailed;
+      s.lastCause = cause;
+      std::fprintf(stderr,
+                   "[syseco] worker out=%u attempt %d/%d failed: %s%s%s%s%s\n",
+                   failing[k], s.attemptsFailed, eng.opt_.isolateMaxAttempts,
+                   workerExitCauseName(cause), reason.empty() ? "" : " (",
+                   reason.c_str(), reason.empty() ? "" : ")",
+                   quarantined(s) ? "; quarantined to the cone-clone fallback"
+                                  : "");
+      s.st = quarantined(s) ? SlotState::kDone : SlotState::kPending;
+      s.notBefore = clock.seconds() + retryBackoffSeconds(
+                                          eng.opt_, failing[k],
+                                          s.attemptsFailed);
+    }
+
+    bool quarantined(const Slot& s) const {
+      return s.attemptsFailed >= eng.opt_.isolateMaxAttempts;
+    }
+  };
+
+  /// What one worker attempt produced: the extracted patch, or an injected
+  /// fault the transport acts out instead.
+  struct WorkerAttempt {
+    std::optional<fault::Kind> injected;
+    WorkerPatch patch;
+  };
+
+  /// The per-output worker both transports run: fire the worker fault
+  /// sites ("isolate.worker" hits every task, the per-output variant pins
+  /// the blast radius to one output), rectify output `o` of the base
+  /// snapshot in a fresh engine and extract the WorkerPatch the commit step
+  /// replays. An injected oom throws std::bad_alloc; a crash exits inside
+  /// fault::fire; any other kind is returned for the transport to act out.
+  WorkerAttempt computeWorker(const SpecRun& run, std::uint32_t o) const {
+    WorkerAttempt a;
     const std::string persite = "isolate.worker.o" + std::to_string(o);
     const char* sites[2] = {"isolate.worker", persite.c_str()};
     for (const char* site : sites) {
-      const auto kind = fault::fire(site);
-      if (!kind) continue;
-      switch (*kind) {
-        case fault::Kind::kOom:
-          // Escapes the whole body; forkWorker maps it to kChildExitOom.
-          throw std::bad_alloc{};
-        case fault::Kind::kHang:
-          // A worker stuck in a loop that shrugs off SIGTERM: the
-          // supervisor's wall deadline must escalate to SIGKILL.
-          std::signal(SIGTERM, SIG_IGN);
-          for (;;) subprocess::pollReadable({}, 1000);
-        case fault::Kind::kGarbageIpc: {
-          std::string garbled =
-              ipc::encodeFrame(ipc::kTypeWorkerResult, "{\"produced\":true}");
-          garbled[garbled.size() / 2] =
-              static_cast<char>(garbled[garbled.size() / 2] ^ 0x40);
-          (void)subprocess::writeAll(responseFd, garbled);
-          return subprocess::kChildExitOk;
+      a.injected = fault::fire(site);
+      if (a.injected == fault::Kind::kOom) throw std::bad_alloc{};
+      if (a.injected) return a;
+    }
+    WorkerPatch& p = a.patch;
+    p.baseGates = run.base.numGatesTotal();
+    p.baseNets = run.base.numNetsTotal();
+    Engine eng(run.base, spec_, run.workerOpt, p.frag);
+    eng.setSharedAnalyses(baseAnalysis_, specAnalysis_);
+    p.produced = eng.rectifyAsWorker(o, run.protect);
+    if (!p.produced) return a;
+    const Netlist& wn = eng.result_.rectified;
+    for (GateId g = static_cast<GateId>(p.baseGates); g < wn.numGatesTotal();
+         ++g) {
+      const auto& gate = wn.gate(g);
+      p.gates.push_back(WorkerPatch::NewGate{gate.type, gate.fanins, gate.out});
+    }
+    p.rewires = eng.tracker_->rewires();
+    return a;
+  }
+
+  /// How a speculative task starts and how the commit loop waits for one.
+  /// Finished tasks are reported into SpecRun::finish / SpecRun::fail.
+  class Transport {
+   public:
+    Transport() = default;
+    Transport(const Transport&) = delete;  // tasks and children hold `this`
+    Transport& operator=(const Transport&) = delete;
+    virtual ~Transport() = default;
+    /// Tasks that may run at once.
+    virtual std::size_t seats() const = 0;
+    /// Starts slot k's task (the loop has already marked it running).
+    virtual void start(std::size_t k) = 0;
+    /// Waits for progress on the running tasks - at most until the loop
+    /// clock reaches `wakeAt`, when a backed-off retry becomes due - and
+    /// settles whatever finished. `head` is the next slot to commit.
+    virtual void wait(std::size_t head, double wakeAt) = 0;
+    /// The audit boundary a result crosses on its way to the commit.
+    virtual const char* auditPhase() const = 0;
+  };
+
+  /// In-process transport: tasks run on the work-stealing pool, which has
+  /// no threads at jobs=1 and then runs each task inline at start. The loop
+  /// blocks on the future of the next slot to commit; nothing else can
+  /// commit first.
+  class ThreadTransport final : public Transport {
+   public:
+    ThreadTransport(SpecRun& run, std::size_t window)
+        : run_(run),
+          window_(window),
+          futures_(run.slots.size()),
+          attempts_(run.slots.size()),
+          pool_(run.eng.opt_.jobs > 1 ? run.eng.opt_.jobs : 0) {}
+
+    std::size_t seats() const override { return window_; }
+
+    void start(std::size_t k) override {
+      futures_[k] = pool_.submit([this, k] {
+        attempts_[k] = run_.eng.computeWorker(run_, run_.failing[k]);
+      });
+    }
+
+    void wait(std::size_t head, double wakeAt) override {
+      const std::chrono::duration<double> budget(
+          std::max(wakeAt - run_.clock.seconds(), 0.0));
+      if (run_.slots[head].st != SlotState::kRunning) {
+        // The head is backing off; the launch pass bounded wakeAt by it.
+        if (std::isfinite(wakeAt)) std::this_thread::sleep_for(budget);
+        return;
+      }
+      if (std::isfinite(wakeAt) &&
+          futures_[head].wait_for(budget) != std::future_status::ready)
+        return;
+      settle(head);
+    }
+
+    const char* auditPhase() const override { return "post-patch-commit"; }
+
+   private:
+    void settle(std::size_t k) {
+      try {
+        futures_[k].get();
+      } catch (const std::bad_alloc&) {
+        return run_.fail(k, WorkerExitCause::kOom,
+                         "allocation failure escaped the worker");
+      } catch (const std::exception& e) {
+        return run_.fail(k, WorkerExitCause::kCrash, e.what());
+      } catch (...) {
+        return run_.fail(k, WorkerExitCause::kCrash,
+                         "non-standard exception escaped the worker");
+      }
+      WorkerAttempt& a = attempts_[k];
+      if (!a.injected) return run_.finish(k, std::move(a.patch));
+      // A thread cannot hang or babble across a process boundary; classify
+      // the injection as the fork transport observes the acted-out fault.
+      const WorkerExitCause cause =
+          *a.injected == fault::Kind::kHang ? WorkerExitCause::kWallTimeout
+          : *a.injected == fault::Kind::kGarbageIpc
+              ? WorkerExitCause::kGarbageIpc
+              : WorkerExitCause::kFaultInjected;
+      run_.fail(k, cause, "injected fault");
+    }
+
+    SpecRun& run_;
+    const std::size_t window_;
+    std::vector<std::future<void>> futures_;
+    std::vector<WorkerAttempt> attempts_;
+    // Declared last so it joins - and in-flight tasks finish - before the
+    // attempts they write into go away.
+    ThreadPool pool_;
+  };
+
+  /// Fault-contained transport (--isolate): every task runs in a forked,
+  /// rlimit-sandboxed child that ships its patch back as an SEF1 frame
+  /// through the hardened WorkerPatch codec. A wall deadline reclaims a
+  /// hung child, escalating SIGTERM to SIGKILL. The parent stays
+  /// single-threaded by design: the children provide the parallelism, and
+  /// a thread-free parent keeps fork safe.
+  class ForkTransport final : public Transport {
+   public:
+    explicit ForkTransport(SpecRun& run)
+        : run_(run), children_(run.slots.size()) {}
+
+    ~ForkTransport() override {
+      for (Child& c : children_)
+        if (c.proc.valid()) subprocess::terminateChild(c.proc.pid, 0.2);
+      for (Child& c : children_) release(c);
+    }
+
+    std::size_t seats() const override { return run_.eng.opt_.jobs; }
+
+    void start(std::size_t k) override {
+      const subprocess::Limits limits{run_.eng.opt_.isolateMemoryBytes,
+                                      run_.eng.opt_.isolateCpuSeconds};
+      Result<subprocess::Child> forked = subprocess::forkWorker(
+          limits, [&](int requestFd, int responseFd) {
+            return childBody(requestFd, responseFd);
+          });
+      if (!forked.isOk()) {
+        run_.fail(k, WorkerExitCause::kCrash, forked.status().message());
+        return;
+      }
+      Child& c = children_[k];
+      c.proc = forked.value();
+      c.buf.clear();
+      c.startedAt = run_.clock.seconds();
+      const IsolateTaskRequest req{run_.failing[k],
+                                   run_.slots[k].attemptsFailed + 1};
+      // A write failure means the child already died; the reap probe in
+      // wait() classifies it.
+      (void)subprocess::writeAll(
+          c.proc.requestFd,
+          ipc::encodeFrame(ipc::kTypeTaskRequest, encodeTaskRequest(req)));
+      subprocess::closeRequestFd(c.proc);  // EOF: the request is complete
+    }
+
+    void wait(std::size_t /*head*/, double /*wakeAt*/) override {
+      std::vector<int> fds;
+      for (const Child& c : children_)
+        if (c.proc.valid() && c.proc.responseFd >= 0)
+          fds.push_back(c.proc.responseFd);
+      subprocess::pollReadable(fds, 20);
+      // Drain pipes, reap exits, enforce wall deadlines.
+      const double wallLimit = run_.eng.opt_.isolateWallSeconds;
+      for (std::size_t k = 0; k < children_.size(); ++k) {
+        Child& c = children_[k];
+        if (!c.proc.valid()) continue;
+        (void)subprocess::drainAvailable(c.proc.responseFd, &c.buf);
+        if (const auto wo = subprocess::tryReap(c.proc.pid)) {
+          settleReaped(k, *wo);
+        } else if (wallLimit > 0.0 &&
+                   run_.clock.seconds() - c.startedAt > wallLimit) {
+          const subprocess::WaitOutcome killed =
+              subprocess::terminateChild(c.proc.pid, 0.5);
+          release(c);
+          run_.fail(k, WorkerExitCause::kWallTimeout,
+                    killed.killEscalated ? "SIGTERM ignored; SIGKILL delivered"
+                                         : "");
         }
-        default:
-          // The engine-internal kinds (budget/deadline/bdd/alloc) have no
-          // meaning at this site; report a cleanly contained injection.
-          return subprocess::kChildExitFaultInjected;
       }
     }
 
-    SysecoDiagnostics frag;
-    Engine eng(base, spec_, workerOpt, frag);
-    eng.setSharedAnalyses(baseAnalysis_, specAnalysis_);
-    const bool produced = eng.rectifyAsWorker(o, protect);
-    WorkerPatch patch;
-    if (produced) {
-      patch = extractWorkerPatch(eng);
-    } else {
-      patch.baseGates = commitBaseGates_;
-      patch.baseNets = commitBaseNets_;
-    }
-    patch.produced = produced;
-    const std::string resp =
-        ipc::encodeFrame(ipc::kTypeWorkerResult, encodeWorkerPatch(patch));
-    if (!subprocess::writeAll(responseFd, resp).isOk())
-      return subprocess::kChildExitUncaught;
-    return subprocess::kChildExitOk;
-  }
+    const char* auditPhase() const override { return "post-isolate-decode"; }
 
-  /// The isolation supervisor: per-output tasks run in forked, rlimit-
-  /// sandboxed worker subprocesses. Outcomes are classified into the
-  /// WorkerExitCause taxonomy; transient failures retry with deterministic
-  /// capped backoff; an output that exhausts isolateMaxAttempts is
-  /// quarantined to the cone-clone fallback. Successful results commit
-  /// strictly in plan order through the exact code path the in-process
-  /// speculative mode uses, so a clean isolated run is bit-identical to a
-  /// --jobs run. Single-threaded on the parent side by design: the children
-  /// provide the parallelism, and a thread-free parent keeps fork safe.
-  /// Returns true when a checkpoint hook interrupted the run.
-  bool runIsolated(const std::vector<std::uint32_t>& failing,
-                   const ResumePlan* plan) {
-    Netlist& w = working();
-    const Netlist base = plan ? plan->base : w;
-    commitBaseGates_ = base.numGatesTotal();
-    commitBaseNets_ = base.numNetsTotal();
-    const SysecoOptions workerOpt = makeWorkerOptions();
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
-
-    enum class SlotState : std::uint8_t { kPending, kRunning, kDone };
-    struct IsoSlot {
-      SlotState st = SlotState::kPending;
-      int attemptsFailed = 0;
-      WorkerExitCause lastCause = WorkerExitCause::kNone;
-      bool quarantined = false;
-      subprocess::Child child;
-      std::string buf;           ///< response bytes accumulated so far
-      double startedAt = 0.0;    ///< supervisor clock at launch
-      double notBefore = 0.0;    ///< backoff: earliest relaunch time
-      std::optional<WorkerPatch> patch;
+   private:
+    struct Child {
+      subprocess::Child proc;
+      std::string buf;         ///< response bytes accumulated so far
+      double startedAt = 0.0;  ///< loop clock at launch
     };
-    std::vector<IsoSlot> slots(failing.size());
-    Timer clock;
-    const std::size_t window = std::max<std::size_t>(2 * opt_.jobs, 4);
-    std::size_t nextCommit = 0;
 
-    auto drainToEof = [](IsoSlot& s) {
+    /// Runs inside the forked child: decode the request, run the worker and
+    /// ship its patch back, acting out an injected hang or garbled reply.
+    /// The return value becomes the child's exit code (forkWorker maps an
+    /// escaping std::bad_alloc to kChildExitOom).
+    int childBody(int requestFd, int responseFd) const {
+      Result<std::string> raw = subprocess::readAll(requestFd);
+      if (!raw.isOk()) return subprocess::kChildExitBadRequest;
+      Result<ipc::Frame> frame = ipc::decodeFrame(raw.value());
+      if (!frame.isOk() || frame.value().type != ipc::kTypeTaskRequest)
+        return subprocess::kChildExitBadRequest;
+      Result<IsolateTaskRequest> req =
+          decodeTaskRequest(frame.value().payload);
+      if (!req.isOk() || req.value().output >= run_.base.numOutputs())
+        return subprocess::kChildExitBadRequest;
+      const WorkerAttempt a = run_.eng.computeWorker(run_, req.value().output);
+      std::string resp;
+      if (!a.injected) {
+        resp = ipc::encodeFrame(ipc::kTypeWorkerResult,
+                                encodeWorkerPatch(a.patch));
+      } else if (*a.injected == fault::Kind::kHang) {
+        // A worker stuck in a loop that shrugs off SIGTERM: the wall
+        // deadline must escalate to SIGKILL.
+        std::signal(SIGTERM, SIG_IGN);
+        for (;;) subprocess::pollReadable({}, 1000);
+      } else if (*a.injected == fault::Kind::kGarbageIpc) {
+        resp = ipc::encodeFrame(ipc::kTypeWorkerResult, "{\"produced\":true}");
+        resp[resp.size() / 2] = static_cast<char>(resp[resp.size() / 2] ^ 0x40);
+      } else {
+        // The engine-internal kinds (budget/deadline/bdd/alloc) have no
+        // meaning at this site; report a cleanly contained injection.
+        return subprocess::kChildExitFaultInjected;
+      }
+      if (!subprocess::writeAll(responseFd, resp).isOk())
+        return subprocess::kChildExitUncaught;
+      return subprocess::kChildExitOk;
+    }
+
+    static void release(Child& c) {
+      subprocess::closeChildFds(c.proc);
+      c.proc = subprocess::Child{};
+    }
+
+    /// Classifies a reaped child into the WorkerExitCause taxonomy, or
+    /// finishes its slot with the decoded patch.
+    void settleReaped(std::size_t k, const subprocess::WaitOutcome& wo) {
+      Child& c = children_[k];
       // The pipe can still hold the tail of a response after the child is
       // reaped; drain to EOF before judging the bytes.
       while (true) {
-        const std::size_t before = s.buf.size();
+        const std::size_t before = c.buf.size();
         Result<bool> more =
-            subprocess::drainAvailable(s.child.responseFd, &s.buf);
-        if (!more.isOk() || !more.value() || s.buf.size() == before) break;
+            subprocess::drainAvailable(c.proc.responseFd, &c.buf);
+        if (!more.isOk() || !more.value() || c.buf.size() == before) break;
       }
-    };
-
-    auto failAttempt = [&](std::size_t k, WorkerExitCause cause,
-                           const std::string& reason) {
-      IsoSlot& s = slots[k];
-      ++s.attemptsFailed;
-      s.lastCause = cause;
-      s.buf.clear();
-      std::fprintf(stderr,
-                   "[syseco] isolated worker out=%u attempt %d/%d failed: "
-                   "%s%s%s%s\n",
-                   failing[k], s.attemptsFailed, opt_.isolateMaxAttempts,
-                   workerExitCauseName(cause), reason.empty() ? "" : " (",
-                   reason.c_str(), reason.empty() ? "" : ")");
-      if (s.attemptsFailed >= opt_.isolateMaxAttempts) {
-        s.quarantined = true;
-        s.st = SlotState::kDone;
-        std::fprintf(stderr,
-                     "[syseco] out=%u quarantined after %d attempts; "
-                     "degrading to the cone-clone fallback\n",
-                     failing[k], s.attemptsFailed);
-      } else {
-        s.st = SlotState::kPending;
-        s.notBefore =
-            clock.seconds() + backoffSeconds(failing[k], s.attemptsFailed);
-      }
-    };
-
-    auto settleReaped = [&](std::size_t k,
-                            const subprocess::WaitOutcome& wo) {
-      IsoSlot& s = slots[k];
-      drainToEof(s);
-      subprocess::closeChildFds(s.child);
-      s.child = subprocess::Child{};
-      if (wo.kind == subprocess::WaitKind::kSignaled) {
-        failAttempt(k,
-                    wo.signal == SIGXCPU ? WorkerExitCause::kCpuTimeout
-                                         : WorkerExitCause::kCrash,
-                    "signal " + std::to_string(wo.signal));
-        return;
-      }
-      if (wo.exitCode == subprocess::kChildExitOk) {
-        Result<ipc::Frame> frame = ipc::decodeFrame(s.buf);
-        if (frame.isOk() && frame.value().type == ipc::kTypeWorkerResult) {
-          Result<WorkerPatch> decoded =
-              decodeWorkerPatch(frame.value().payload, base);
-          if (decoded.isOk()) {
-            s.patch.emplace(decoded.take());
-            s.buf.clear();
-            s.st = SlotState::kDone;
-            return;
-          }
-          failAttempt(k, WorkerExitCause::kGarbageIpc,
-                      decoded.status().message());
-          return;
-        }
-        failAttempt(k, WorkerExitCause::kGarbageIpc,
-                    frame.isOk() ? "unexpected frame type"
-                                 : frame.status().message());
-        return;
-      }
+      release(c);
+      const std::string bytes = std::move(c.buf);
+      c.buf.clear();
+      if (wo.kind == subprocess::WaitKind::kSignaled)
+        return run_.fail(k,
+                         wo.signal == SIGXCPU ? WorkerExitCause::kCpuTimeout
+                                              : WorkerExitCause::kCrash,
+                         "signal " + std::to_string(wo.signal));
       switch (wo.exitCode) {
+        case subprocess::kChildExitOk: {
+          Result<ipc::Frame> frame = ipc::decodeFrame(bytes);
+          if (!frame.isOk() || frame.value().type != ipc::kTypeWorkerResult)
+            return run_.fail(k, WorkerExitCause::kGarbageIpc,
+                             frame.isOk() ? "unexpected frame type"
+                                          : frame.status().message());
+          Result<WorkerPatch> decoded =
+              decodeWorkerPatch(frame.value().payload, run_.base);
+          if (!decoded.isOk())
+            return run_.fail(k, WorkerExitCause::kGarbageIpc,
+                             decoded.status().message());
+          return run_.finish(k, decoded.take());
+        }
         case subprocess::kChildExitOom:
-          failAttempt(k, WorkerExitCause::kOom, "");
-          return;
+          return run_.fail(k, WorkerExitCause::kOom, "");
         case subprocess::kChildExitFaultInjected:
-          failAttempt(k, WorkerExitCause::kFaultInjected, "");
-          return;
+          return run_.fail(k, WorkerExitCause::kFaultInjected, "");
         case subprocess::kChildExitBadRequest:
-          failAttempt(k, WorkerExitCause::kGarbageIpc,
-                      "worker rejected the task request");
-          return;
+          return run_.fail(k, WorkerExitCause::kGarbageIpc,
+                           "worker rejected the task request");
         default:
-          failAttempt(k, WorkerExitCause::kCrash,
-                      "exit code " + std::to_string(wo.exitCode));
-          return;
-      }
-    };
-
-    auto launchSlot = [&](std::size_t k) {
-      IsoSlot& s = slots[k];
-      const std::uint32_t o = failing[k];
-      subprocess::Limits limits;
-      limits.memoryBytes = opt_.isolateMemoryBytes;
-      limits.cpuSeconds = opt_.isolateCpuSeconds;
-      Result<subprocess::Child> forked = subprocess::forkWorker(
-          limits, [&](int requestFd, int responseFd) {
-            return isolatedWorkerBody(requestFd, responseFd, base, protect,
-                                      workerOpt);
-          });
-      if (!forked.isOk()) {
-        failAttempt(k, WorkerExitCause::kCrash, forked.status().message());
-        return;
-      }
-      s.child = forked.value();
-      s.buf.clear();
-      s.startedAt = clock.seconds();
-      s.st = SlotState::kRunning;
-      const IsolateTaskRequest req{o, s.attemptsFailed + 1};
-      const std::string bytes =
-          ipc::encodeFrame(ipc::kTypeTaskRequest, encodeTaskRequest(req));
-      // A write failure means the child already died; the reap probe in the
-      // service phase classifies it.
-      (void)subprocess::writeAll(s.child.requestFd, bytes);
-      subprocess::closeRequestFd(s.child);  // EOF: the request is complete
-    };
-
-    auto killAll = [&] {
-      for (IsoSlot& s : slots) {
-        if (s.st == SlotState::kRunning && s.child.valid()) {
-          subprocess::terminateChild(s.child.pid, 0.2);
-          subprocess::closeChildFds(s.child);
-          s.child = subprocess::Child{};
-        }
-      }
-    };
-
-    bool interrupted = false;
-    while (nextCommit < slots.size() && !interrupted) {
-      // Launch phase: fill free worker seats with due pending slots from
-      // the commit window.
-      const double now = clock.seconds();
-      std::size_t running = 0;
-      for (const IsoSlot& s : slots)
-        if (s.st == SlotState::kRunning) ++running;
-      const std::size_t horizon = std::min(slots.size(), nextCommit + window);
-      for (std::size_t k = nextCommit; k < horizon && running < opt_.jobs;
-           ++k) {
-        if (slots[k].st != SlotState::kPending || slots[k].notBefore > now)
-          continue;
-        launchSlot(k);
-        if (slots[k].st == SlotState::kRunning) ++running;
-      }
-
-      // Wait for a worker event (or a backoff / wall-deadline tick).
-      std::vector<int> fds;
-      for (const IsoSlot& s : slots)
-        if (s.st == SlotState::kRunning && s.child.responseFd >= 0)
-          fds.push_back(s.child.responseFd);
-      subprocess::pollReadable(fds, 20);
-
-      // Service phase: drain pipes, reap exits, enforce wall deadlines.
-      for (std::size_t k = 0; k < slots.size(); ++k) {
-        IsoSlot& s = slots[k];
-        if (s.st != SlotState::kRunning || !s.child.valid()) continue;
-        (void)subprocess::drainAvailable(s.child.responseFd, &s.buf);
-        if (const auto wo = subprocess::tryReap(s.child.pid)) {
-          settleReaped(k, *wo);
-          continue;
-        }
-        if (opt_.isolateWallSeconds > 0.0 &&
-            clock.seconds() - s.startedAt > opt_.isolateWallSeconds) {
-          const subprocess::WaitOutcome wo =
-              subprocess::terminateChild(s.child.pid, 0.5);
-          subprocess::closeChildFds(s.child);
-          s.child = subprocess::Child{};
-          failAttempt(k, WorkerExitCause::kWallTimeout,
-                      wo.killEscalated ? "SIGTERM ignored; SIGKILL delivered"
-                                       : "");
-        }
-      }
-
-      // Commit phase: adopt finished slots strictly in plan order through
-      // the same path the in-process speculative mode uses.
-      while (nextCommit < slots.size() &&
-             slots[nextCommit].st == SlotState::kDone) {
-        IsoSlot& s = slots[nextCommit];
-        const std::uint32_t o = failing[nextCommit];
-        bool reported = false;
-        if (s.quarantined) {
-          reported = commitQuarantined(o, s.attemptsFailed, s.lastCause);
-        } else if (s.patch && s.patch->produced) {
-          reported = commitWorker(o, *s.patch);
-          if (reported && s.attemptsFailed > 0) {
-            // The commit path reproduces the clean report; the supervisor
-            // grafts on what the retries cost.
-            diag_.outputs.back().workerFailedAttempts = s.attemptsFailed;
-            diag_.outputs.back().workerExitCause = s.lastCause;
-          }
-        }
-        s.patch.reset();
-        ++nextCommit;
-        // The committed patch crossed the IPC decode boundary before it
-        // touched the canonical netlist; audit what it left behind.
-        if (reported) auditBoundary("post-isolate-decode");
-        if (reported && opt_.checkpointHook) {
-          const RunCheckpoint cp{
-              diag_.outputs.back(),
-              diag_.outputs,
-              w,
-              tracker(),
-              diag_.outputs.size(),
-              plannedOutputs_,
-              restoredConflicts_ + rootGuard_.conflictsUsed() +
-                  extraConflicts_,
-              restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-          if (!opt_.checkpointHook(cp)) {
-            interrupted = true;
-            break;
-          }
-        }
+          return run_.fail(k, WorkerExitCause::kCrash,
+                           "exit code " + std::to_string(wo.exitCode));
       }
     }
-    killAll();
-    return interrupted;
-  }
 
-  // --- Distributed fleet supervision (--workers host:port,...) ------------
-
- public:
-  /// The pure per-output fleet task: the exact computation a forked isolate
-  /// worker runs, packaged as a static function so both the --serve-worker
-  /// agent process and the supervisor's degraded in-process path compute
-  /// byte-identical WorkerPatch results. Escaping exceptions are contained
-  /// into a non-ok Status - an agent must report a task failure, never die.
-  static Result<WorkerPatch> computeTask(
-      const Netlist& base, const Netlist& spec, const SysecoOptions& workerOpt,
-      std::uint32_t output, const std::vector<std::uint32_t>& protect,
-      const NetlistAnalysis* baseAnalysis, const NetlistAnalysis* specAnalysis) {
-    if (output >= base.numOutputs())
-      return Status::invalidInput("fleet task output out of range");
-    try {
-      SysecoDiagnostics frag;
-      Engine eng(base, spec, workerOpt, frag);
-      eng.setSharedAnalyses(baseAnalysis, specAnalysis);
-      const bool produced = eng.rectifyAsWorker(output, protect);
-      WorkerPatch p;
-      p.produced = produced;
-      p.baseGates = base.numGatesTotal();
-      p.baseNets = base.numNetsTotal();
-      if (produced) {
-        const Netlist& wn = eng.result_.rectified;
-        for (GateId g = static_cast<GateId>(p.baseGates);
-             g < wn.numGatesTotal(); ++g) {
-          const auto& gate = wn.gate(g);
-          p.gates.push_back(
-              WorkerPatch::NewGate{gate.type, gate.fanins, gate.out});
-        }
-        p.rewires = eng.tracker_->rewires();
-        p.frag = eng.diag_;
-      }
-      return p;
-    } catch (const std::bad_alloc&) {
-      return Status::budgetExhausted("fleet task allocation failure");
-    } catch (const StatusError& e) {
-      return e.status();
-    } catch (const std::exception& e) {
-      return Status::internal(std::string("fleet task threw: ") + e.what());
-    }
-  }
-
- private:
-  /// Emits one fleet lifecycle event to the journaling hook and, under
-  /// --verbose, to stderr. Events are observability only - they carry
-  /// timing-dependent scheduling history and never feed the verdict
-  /// records, which is what keeps fleet runs bit-comparable to --jobs.
-  void fleetEvent(const std::string& kind, const std::string& worker,
-                  std::uint32_t output, int attempt,
-                  const std::string& detail) {
-    if (opt_.fleetEventHook) {
-      FleetEvent ev;
-      ev.kind = kind;
-      ev.worker = worker;
-      ev.output = output;
-      ev.attempt = attempt;
-      ev.detail = detail;
-      opt_.fleetEventHook(ev);
-    }
-    if (opt_.verbose)
-      std::fprintf(stderr, "[syseco] fleet %s worker=%s out=%u attempt=%d%s%s\n",
-                   kind.c_str(), worker.c_str(), output, attempt,
-                   detail.empty() ? "" : ": ", detail.c_str());
-  }
-
-  /// The fleet supervisor: per-output tasks are sharded over persistent TCP
-  /// connections to --serve-worker agents. Each assignment carries a fresh
-  /// epoch and a lease; heartbeats renew the lease, and a task whose agent
-  /// disconnects, babbles or overruns its lease is reclaimed and retried
-  /// through the same capped-backoff / quarantine machinery as --isolate.
-  /// Duplicate results from reassigned-then-returned tasks are discarded by
-  /// epoch. When fewer than fleetMinWorkers agents remain usable the run
-  /// degrades to computing the identical pure task in-process (sequentially;
-  /// slower, never wrong). Commits happen strictly in plan order through
-  /// the shared commitWorker path, so verdict records are bit-identical to
-  /// a local --jobs run. Returns true when a checkpoint hook interrupted.
-  bool runFleet(const std::vector<std::uint32_t>& failing,
-                const ResumePlan* plan) {
-    Netlist& w = working();
-    const Netlist base = plan ? plan->base : w;
-    commitBaseGates_ = base.numGatesTotal();
-    commitBaseNets_ = base.numNetsTotal();
-    const SysecoOptions workerOpt = makeWorkerOptions();
-    const std::vector<std::uint32_t>& protect = plan ? plan->order : failing;
-
-    // The one-time case upload: everything a task is a pure function of,
-    // minus the output index. Content-addressed by crc32 so each agent
-    // fetches it at most once per connection lifetime.
-    const std::string casePayload =
-        encodeFleetCase(base, spec_, workerOpt, protect);
-    const std::uint32_t caseCrc = crc32(casePayload);
-
-    enum class TaskState : std::uint8_t { kPending, kRunning, kDone };
-    struct FleetTask {
-      TaskState st = TaskState::kPending;
-      int attemptsFailed = 0;
-      WorkerExitCause lastCause = WorkerExitCause::kNone;
-      bool quarantined = false;
-      std::uint64_t epoch = 0;  ///< current assignment; stale frames differ
-      int peer = -1;            ///< peer index while kRunning
-      double deadline = 0.0;    ///< lease expiry on the supervisor clock
-      double notBefore = 0.0;   ///< backoff: earliest reassignment time
-      std::optional<WorkerPatch> patch;
-    };
-    enum class PeerState : std::uint8_t { kIdle, kBusy, kLagging, kDead };
-    struct FleetPeer {
-      std::string spec;  ///< "host:port" as the user wrote it
-      std::string host;
-      std::uint16_t port = 0;
-      int fd = -1;
-      std::string rx;             ///< framed receive stream
-      int strikes = 0;            ///< consecutive transport failures
-      int task = -1;              ///< task index while kBusy / kLagging
-      std::uint64_t staleEpoch = 0;  ///< lease-expired assignment, if any
-      PeerState st = PeerState::kIdle;
-    };
-    constexpr int kPeerMaxStrikes = 2;
-
-    std::vector<FleetTask> tasks(failing.size());
-    std::vector<FleetPeer> peers;
-    for (const std::string& spec : opt_.workers) {
-      Result<std::pair<std::string, std::uint16_t>> hp =
-          net::parseHostPort(spec);
-      if (!hp.isOk()) continue;  // validateSysecoOptions rejects these
-      FleetPeer p;
-      p.spec = spec;
-      p.host = hp.value().first;
-      p.port = hp.value().second;
-      peers.push_back(std::move(p));
-    }
-
-    Timer clock;
-    const std::size_t window = std::max<std::size_t>(2 * peers.size(), 4);
-    std::size_t nextCommit = 0;
-    std::uint64_t epochCounter = 0;
-    bool interrupted = false;
-    bool degraded = false;
-
-    auto failAttempt = [&](std::size_t k, WorkerExitCause cause,
-                           const std::string& worker,
-                           const std::string& reason) {
-      FleetTask& t = tasks[k];
-      ++t.attemptsFailed;
-      t.lastCause = cause;
-      t.peer = -1;
-      fleetEvent(workerExitCauseName(cause), worker, failing[k],
-                 t.attemptsFailed, reason);
-      std::fprintf(stderr,
-                   "[syseco] fleet task out=%u attempt %d/%d failed: %s%s%s%s\n",
-                   failing[k], t.attemptsFailed, opt_.isolateMaxAttempts,
-                   workerExitCauseName(cause), reason.empty() ? "" : " (",
-                   reason.c_str(), reason.empty() ? "" : ")");
-      if (t.attemptsFailed >= opt_.isolateMaxAttempts) {
-        t.quarantined = true;
-        t.st = TaskState::kDone;
-        std::fprintf(stderr,
-                     "[syseco] out=%u quarantined after %d attempts; "
-                     "degrading to the cone-clone fallback\n",
-                     failing[k], t.attemptsFailed);
-      } else {
-        t.st = TaskState::kPending;
-        t.notBefore =
-            clock.seconds() + backoffSeconds(failing[k], t.attemptsFailed);
-      }
-    };
-
-    auto failPeer = [&](std::size_t pi, const std::string& why) {
-      FleetPeer& p = peers[pi];
-      net::closeSocket(p.fd);
-      p.rx.clear();
-      p.task = -1;
-      p.staleEpoch = 0;
-      ++p.strikes;
-      if (p.strikes >= kPeerMaxStrikes) {
-        p.st = PeerState::kDead;
-        fleetEvent("worker-dead", p.spec, 0, 0, why);
-        std::fprintf(stderr, "[syseco] fleet worker %s marked dead: %s\n",
-                     p.spec.c_str(), why.c_str());
-      } else {
-        p.st = PeerState::kIdle;
-      }
-    };
-
-    // A stale frame: the agent finished an assignment the supervisor
-    // already reclaimed. The duplicate is discarded by epoch and the agent
-    // rejoins the pool - it is alive and computed honestly, just too late.
-    auto settleStale = [&](std::size_t pi, std::uint64_t epoch,
-                           const char* what) {
-      FleetPeer& p = peers[pi];
-      fleetEvent("stale-epoch", p.spec,
-                 p.task >= 0 ? failing[static_cast<std::size_t>(p.task)] : 0, 0,
-                 std::string("discarded duplicate ") + what + " for epoch " +
-                     std::to_string(epoch));
-      p.task = -1;
-      p.staleEpoch = 0;
-      p.strikes = 0;
-      if (p.st == PeerState::kLagging) p.st = PeerState::kIdle;
-    };
-
-    // True when `epoch` names the live assignment of this peer's task.
-    auto isCurrent = [&](const FleetPeer& p, std::uint64_t epoch) {
-      return p.task >= 0 &&
-             tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning &&
-             tasks[static_cast<std::size_t>(p.task)].epoch == epoch;
-    };
-
-    auto failGarbage = [&](std::size_t pi, const std::string& why) {
-      FleetPeer& p = peers[pi];
-      if (p.task >= 0 &&
-          tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning)
-        failAttempt(static_cast<std::size_t>(p.task),
-                    WorkerExitCause::kGarbageIpc, p.spec, why);
-      else
-        fleetEvent(workerExitCauseName(WorkerExitCause::kGarbageIpc), p.spec,
-                   0, 0, why);
-      failPeer(pi, why);
-    };
-
-    auto handleFrame = [&](std::size_t pi, const ipc::Frame& f) {
-      FleetPeer& p = peers[pi];
-      switch (f.type) {
-        case ipc::kTypeFleetNeedCase: {
-          Result<std::uint32_t> crc = decodeFleetNeedCase(f.payload);
-          if (!crc.isOk() || crc.value() != caseCrc) {
-            failGarbage(pi, "bad need-case frame");
-            return;
-          }
-          fleetEvent("case-upload", p.spec, 0, 0,
-                     std::to_string(casePayload.size()) + " bytes");
-          if (!net::sendFrame(p.fd, ipc::kTypeFleetCase, casePayload).isOk()) {
-            if (p.task >= 0 &&
-                tasks[static_cast<std::size_t>(p.task)].st ==
-                    TaskState::kRunning)
-              failAttempt(static_cast<std::size_t>(p.task),
-                          WorkerExitCause::kConnReset, p.spec,
-                          "case upload failed");
-            failPeer(pi, "case upload failed");
-          }
-          return;
-        }
-        case ipc::kTypeFleetHeartbeat: {
-          Result<std::uint64_t> ep = decodeFleetHeartbeat(f.payload);
-          if (!ep.isOk()) {
-            failGarbage(pi, "bad heartbeat frame");
-            return;
-          }
-          // Heartbeats for reclaimed assignments are ignored: the peer is
-          // kLagging and stays out of the pool until its stale result lands.
-          if (isCurrent(p, ep.value()))
-            tasks[static_cast<std::size_t>(p.task)].deadline =
-                clock.seconds() + opt_.fleetLeaseSeconds;
-          return;
-        }
-        case ipc::kTypeFleetResult: {
-          Result<std::uint64_t> ep = peekFleetEpoch(f.payload);
-          if (!ep.isOk()) {
-            failGarbage(pi, "bad result envelope");
-            return;
-          }
-          if (!isCurrent(p, ep.value())) {
-            settleStale(pi, ep.value(), "result");
-            return;
-          }
-          const std::size_t k = static_cast<std::size_t>(p.task);
-          Result<WorkerPatch> decoded = decodeWorkerPatch(f.payload, base);
-          if (!decoded.isOk()) {
-            failAttempt(k, WorkerExitCause::kGarbageIpc, p.spec,
-                        decoded.status().message());
-            failPeer(pi, "undecodable result: " + decoded.status().message());
-            return;
-          }
-          tasks[k].patch.emplace(decoded.take());
-          tasks[k].st = TaskState::kDone;
-          tasks[k].peer = -1;
-          p.task = -1;
-          p.strikes = 0;
-          p.st = PeerState::kIdle;
-          return;
-        }
-        case ipc::kTypeFleetFailure: {
-          Result<FleetFailure> fail = decodeFleetFailure(f.payload);
-          if (!fail.isOk()) {
-            failGarbage(pi, "bad failure frame");
-            return;
-          }
-          if (!isCurrent(p, fail.value().epoch)) {
-            settleStale(pi, fail.value().epoch, "failure");
-            return;
-          }
-          const std::optional<WorkerExitCause> cause =
-              workerExitCauseFromName(fail.value().cause);
-          failAttempt(static_cast<std::size_t>(p.task),
-                      cause.value_or(WorkerExitCause::kCrash), p.spec,
-                      fail.value().detail);
-          // A contained failure report proves the agent itself is healthy.
-          p.task = -1;
-          p.strikes = 0;
-          p.st = PeerState::kIdle;
-          return;
-        }
-        default:
-          failGarbage(pi, "unexpected fleet frame type " +
-                              std::to_string(f.type));
-          return;
-      }
-    };
-
-    auto servicePeer = [&](std::size_t pi) {
-      FleetPeer& p = peers[pi];
-      if (p.fd < 0) return;
-      const ioretry::DrainOutcome dr =
-          ioretry::drainNonblockingRaw(p.fd, &p.rx);
-      const bool eof = dr.state == ioretry::DrainState::kEof;
-      const int derr =
-          dr.state == ioretry::DrainState::kError ? dr.err : 0;
-      while (p.fd >= 0) {
-        net::RecvOutcome out = net::takeFrame(&p.rx, eof, derr);
-        if (out.status == net::RecvStatus::kFrame) {
-          handleFrame(pi, out.frame);
-          continue;
-        }
-        if (out.status == net::RecvStatus::kTimeout) break;  // stream intact
-        WorkerExitCause cause = WorkerExitCause::kConnReset;
-        if (out.status == net::RecvStatus::kTruncated)
-          cause = WorkerExitCause::kFrameTruncated;
-        else if (out.status == net::RecvStatus::kGarbage)
-          cause = WorkerExitCause::kGarbageIpc;
-        const std::string why =
-            out.detail.empty() ? workerExitCauseName(cause) : out.detail;
-        if (p.task >= 0 &&
-            tasks[static_cast<std::size_t>(p.task)].st == TaskState::kRunning)
-          failAttempt(static_cast<std::size_t>(p.task), cause, p.spec, why);
-        else
-          fleetEvent(workerExitCauseName(cause), p.spec, 0, 0, why);
-        failPeer(pi, why);
-        break;
-      }
-    };
-
-    auto assignTask = [&](std::size_t k, std::size_t pi) {
-      FleetPeer& p = peers[pi];
-      FleetTask& t = tasks[k];
-      if (p.fd < 0) {
-        Result<int> fd =
-            net::connectTo(p.host, p.port, opt_.fleetConnectTimeoutMs);
-        if (!fd.isOk()) {
-          // The task never reached an agent, so no retry attempt is
-          // consumed: the refusal is the peer's failure, and enough of
-          // those kill the peer (and eventually degrade the fleet).
-          fleetEvent(workerExitCauseName(WorkerExitCause::kConnRefused),
-                     p.spec, failing[k], t.attemptsFailed,
-                     fd.status().message());
-          failPeer(pi, fd.status().message());
-          return;
-        }
-        p.fd = fd.take();
-        p.rx.clear();
-      }
-      FleetTaskRequest req;
-      req.output = failing[k];
-      req.attempt = t.attemptsFailed + 1;
-      req.epoch = ++epochCounter;
-      req.leaseSeconds = opt_.fleetLeaseSeconds;
-      req.caseCrc = caseCrc;
-      if (!net::sendFrame(p.fd, ipc::kTypeFleetTask,
-                          encodeFleetTaskRequest(req))
-               .isOk()) {
-        failAttempt(k, WorkerExitCause::kConnReset, p.spec,
-                    "task request send failed");
-        failPeer(pi, "task request send failed");
-        return;
-      }
-      t.st = TaskState::kRunning;
-      t.epoch = req.epoch;
-      t.peer = static_cast<int>(pi);
-      t.deadline = clock.seconds() + opt_.fleetLeaseSeconds;
-      p.st = PeerState::kBusy;
-      p.task = static_cast<int>(k);
-    };
-
-    while (nextCommit < tasks.size() && !interrupted) {
-      // Fleet-health phase: kLagging and kDead peers cannot take work, so
-      // only kIdle/kBusy count. Dropping below the threshold permanently
-      // degrades the run to in-process execution of the identical pure
-      // tasks - slower, never wrong, never aborted.
-      if (!degraded) {
-        std::size_t healthy = 0;
-        for (const FleetPeer& p : peers)
-          if (p.st == PeerState::kIdle || p.st == PeerState::kBusy) ++healthy;
-        if (healthy < static_cast<std::size_t>(opt_.fleetMinWorkers)) {
-          degraded = true;
-          fleetEvent("fleet-degraded", "", 0, 0,
-                     std::to_string(healthy) + " usable worker(s), minimum " +
-                         std::to_string(opt_.fleetMinWorkers) +
-                         "; continuing in-process");
-          std::fprintf(stderr,
-                       "[syseco] fleet degraded below --fleet-min-workers; "
-                       "continuing in-process\n");
-          for (FleetPeer& p : peers) {
-            if (p.task >= 0 &&
-                tasks[static_cast<std::size_t>(p.task)].st ==
-                    TaskState::kRunning) {
-              // Reclaimed without consuming a retry attempt: the supervisor
-              // is abandoning the agent, not the other way around.
-              tasks[static_cast<std::size_t>(p.task)].st = TaskState::kPending;
-              tasks[static_cast<std::size_t>(p.task)].peer = -1;
-            }
-            net::closeSocket(p.fd);
-            p.rx.clear();
-            p.task = -1;
-            p.st = PeerState::kDead;
-          }
-        }
-      }
-
-      const double now = clock.seconds();
-      const std::size_t horizon = std::min(tasks.size(), nextCommit + window);
-      bool computedLocally = false;
-
-      if (degraded) {
-        // One task per pass keeps commits (and checkpoints) flowing.
-        for (std::size_t k = nextCommit; k < horizon; ++k) {
-          FleetTask& t = tasks[k];
-          if (t.st != TaskState::kPending || t.notBefore > now) continue;
-          Result<WorkerPatch> r =
-              computeTask(base, spec_, workerOpt, failing[k], protect,
-                          baseAnalysis_, specAnalysis_);
-          computedLocally = true;
-          if (r.isOk()) {
-            t.patch.emplace(r.take());
-            t.st = TaskState::kDone;
-          } else {
-            failAttempt(k,
-                        r.status().code() == StatusCode::kBudgetExhausted
-                            ? WorkerExitCause::kOom
-                            : WorkerExitCause::kCrash,
-                        "local", r.status().message());
-          }
-          break;
-        }
-      } else {
-        // Launch phase: hand due pending tasks from the commit window to
-        // idle peers.
-        for (std::size_t k = nextCommit; k < horizon; ++k) {
-          if (tasks[k].st != TaskState::kPending || tasks[k].notBefore > now)
-            continue;
-          int pi = -1;
-          for (std::size_t i = 0; i < peers.size(); ++i)
-            if (peers[i].st == PeerState::kIdle) {
-              pi = static_cast<int>(i);
-              break;
-            }
-          if (pi < 0) break;
-          assignTask(k, static_cast<std::size_t>(pi));
-        }
-      }
-
-      if (!degraded) {
-        // Wait for a fleet event (or a backoff / lease tick).
-        std::vector<int> fds;
-        for (const FleetPeer& p : peers)
-          if (p.fd >= 0) fds.push_back(p.fd);
-        subprocess::pollReadable(fds, 20);
-
-        // Service phase: drain streams, dispatch frames, classify breaks.
-        for (std::size_t pi = 0; pi < peers.size(); ++pi) servicePeer(pi);
-
-        // Lease enforcement: an assignment with no heartbeat inside its
-        // lease is reclaimed. The connection is kept - the agent may still
-        // deliver a now-stale result, and discarding it by epoch is cheaper
-        // than resynchronizing a torn stream - but the peer stops counting
-        // toward fleet health until that happens.
-        const double tnow = clock.seconds();
-        for (std::size_t k = nextCommit; k < tasks.size(); ++k) {
-          FleetTask& t = tasks[k];
-          if (t.st != TaskState::kRunning || tnow <= t.deadline) continue;
-          const int pi = t.peer;
-          std::string worker;
-          if (pi >= 0) {
-            FleetPeer& p = peers[static_cast<std::size_t>(pi)];
-            worker = p.spec;
-            p.st = PeerState::kLagging;
-            p.staleEpoch = t.epoch;
-          }
-          failAttempt(k, WorkerExitCause::kLeaseExpired, worker,
-                      "no heartbeat within the lease");
-        }
-      } else if (!computedLocally) {
-        subprocess::pollReadable({}, 20);
-      }
-
-      // Commit phase: adopt finished tasks strictly in plan order through
-      // the same path the in-process speculative mode uses.
-      while (nextCommit < tasks.size() &&
-             tasks[nextCommit].st == TaskState::kDone) {
-        FleetTask& t = tasks[nextCommit];
-        const std::uint32_t o = failing[nextCommit];
-        bool reported = false;
-        if (t.quarantined) {
-          reported = commitQuarantined(o, t.attemptsFailed, t.lastCause);
-        } else if (t.patch && t.patch->produced) {
-          reported = commitWorker(o, *t.patch);
-          if (reported && t.attemptsFailed > 0) {
-            // The commit path reproduces the clean report; the supervisor
-            // grafts on what the retries cost.
-            diag_.outputs.back().workerFailedAttempts = t.attemptsFailed;
-            diag_.outputs.back().workerExitCause = t.lastCause;
-          }
-        }
-        t.patch.reset();
-        ++nextCommit;
-        // The committed patch crossed a network decode boundary before it
-        // touched the canonical netlist; audit what it left behind.
-        if (reported) auditBoundary("post-fleet-decode");
-        if (reported && opt_.checkpointHook) {
-          const RunCheckpoint cp{
-              diag_.outputs.back(),
-              diag_.outputs,
-              w,
-              tracker(),
-              diag_.outputs.size(),
-              plannedOutputs_,
-              restoredConflicts_ + rootGuard_.conflictsUsed() +
-                  extraConflicts_,
-              restoredBddNodes_ + rootGuard_.bddNodesUsed() + extraBddNodes_};
-          if (!opt_.checkpointHook(cp)) {
-            interrupted = true;
-            break;
-          }
-        }
-      }
-    }
-    for (FleetPeer& p : peers) net::closeSocket(p.fd);
-    return interrupted;
-  }
+    SpecRun& run_;
+    std::vector<Child> children_;
+  };
 
   /// Worker entry point: rectifies one output of the base snapshot this
   /// engine was constructed with. `failingAll` is the full planned output
@@ -3720,19 +3122,6 @@ Status validateSysecoOptions(const SysecoOptions& o) {
     return invalid("oracle.bddNodeBudget must be positive");
   if (o.oracle.satConflictBudget != -1 && o.oracle.satConflictBudget <= 0)
     return invalid("oracle.satConflictBudget must be -1 (unbounded) or positive");
-  if (!o.workers.empty() && o.isolate)
-    return invalid("workers and isolate are mutually exclusive transports");
-  if (o.fleetLeaseSeconds <= 0.0)
-    return invalid("fleetLeaseSeconds must be positive");
-  if (o.fleetConnectTimeoutMs <= 0)
-    return invalid("fleetConnectTimeoutMs must be positive");
-  if (o.fleetMinWorkers <= 0) return invalid("fleetMinWorkers must be positive");
-  for (const std::string& spec : o.workers) {
-    Result<std::pair<std::string, std::uint16_t>> hp = net::parseHostPort(spec);
-    if (!hp.isOk())
-      return invalid("bad worker endpoint '" + spec + "': " +
-                     hp.status().message());
-  }
   return Status::ok();
 }
 
@@ -3754,16 +3143,6 @@ Result<EcoResult> runSysecoChecked(const Netlist& impl, const Netlist& spec,
   SysecoDiagnostics local;
   Engine engine(impl, spec, options, diagnostics ? *diagnostics : local);
   return engine.run();
-}
-
-Result<WorkerPatch> runFleetTask(const Netlist& base, const Netlist& spec,
-                                 const SysecoOptions& options,
-                                 std::uint32_t output,
-                                 const std::vector<std::uint32_t>& protect,
-                                 const NetlistAnalysis* baseAnalysis,
-                                 const NetlistAnalysis* specAnalysis) {
-  return Engine::computeTask(base, spec, options, output, protect,
-                             baseAnalysis, specAnalysis);
 }
 
 }  // namespace syseco

@@ -147,43 +147,24 @@ struct SysecoOptions {
 
   // --- Fault-contained subprocess isolation -------------------------------
   /// Run each per-output rectification task in a forked, rlimit-sandboxed
-  /// worker subprocess supervised by the main process. A worker that
-  /// crashes, leaks, hangs or babbles is classified (WorkerExitCause),
-  /// retried with capped exponential backoff, and after
-  /// `isolateMaxAttempts` failures its output is quarantined: it degrades
-  /// to the guaranteed cone-clone fallback instead of aborting the run.
-  /// Successful isolated runs are bit-identical to in-process `jobs` runs
-  /// (the same plan-ordered speculative commits replay the same worker
-  /// results). Like `jobs`, isolation requires an unlimited run; governed
-  /// runs ignore it and stay sequential. None of the isolate knobs shape
-  /// the search, so they are excluded from the resume fingerprint.
+  /// worker subprocess supervised by the main process instead of on a
+  /// thread. Both transports share one failure policy: a failed attempt is
+  /// classified (WorkerExitCause), retried with capped exponential backoff,
+  /// and after `isolateMaxAttempts` failures its output is quarantined: it
+  /// degrades to the guaranteed cone-clone fallback instead of aborting the
+  /// run. Only a subprocess also contains crashes, leaks and hangs (the
+  /// rlimits and the wall deadline below apply to it alone). Successful
+  /// isolated runs are bit-identical to in-process `jobs` runs (the same
+  /// plan-ordered speculative commits replay the same worker results).
+  /// Like `jobs`, isolation requires an unlimited run; governed runs ignore
+  /// it and stay sequential. None of the isolate knobs shape the search, so
+  /// they are excluded from the resume fingerprint.
   bool isolate = false;
   int isolateMaxAttempts = 3;        ///< worker attempts before quarantine
   double isolateWallSeconds = 120.0; ///< per-attempt wall deadline (0 = off)
   double isolateCpuSeconds = 0.0;    ///< worker RLIMIT_CPU (0 = inherit)
   std::uint64_t isolateMemoryBytes = 0;  ///< worker RLIMIT_AS (0 = inherit)
   double isolateBackoffMs = 100.0;   ///< base retry backoff (doubled, capped)
-
-  // --- Distributed worker fleet -------------------------------------------
-  /// TCP generalization of the isolation transport: per-output tasks are
-  /// sharded across `syseco --serve-worker` agent processes listed here as
-  /// "host:port" endpoints. Every in-flight task holds a deadline-bearing
-  /// lease renewed by agent heartbeats; a task whose worker disconnects,
-  /// stops heartbeating or overruns its lease is reassigned, its failure
-  /// classified into the same taxonomy (the network causes: conn-refused,
-  /// conn-reset, frame-truncated, lease-expired) and retried with the same
-  /// capped backoff and quarantine rules as --isolate. Duplicate results
-  /// from a reassigned-then-returned task are rejected by task epoch. When
-  /// fewer than `fleetMinWorkers` agents remain usable the run degrades to
-  /// in-process execution instead of failing. Successful fleet runs are
-  /// bit-identical to in-process `jobs` runs (same plan-ordered commits of
-  /// the same pure per-output results). Mutually exclusive with `isolate`;
-  /// like it, governed runs ignore the fleet and stay sequential, and none
-  /// of these knobs enter the resume fingerprint.
-  std::vector<std::string> workers;  ///< agent endpoints, "host:port"
-  double fleetLeaseSeconds = 10.0;   ///< task lease; heartbeats renew it
-  int fleetConnectTimeoutMs = 2000;  ///< per-connect deadline
-  int fleetMinWorkers = 1;           ///< usable agents below this: degrade
 
   // --- Certification oracle + invariant auditing --------------------------
   /// Tri-modal certification (verify/oracle.hpp) replaces the legacy
@@ -233,21 +214,6 @@ struct SysecoOptions {
   /// runSyseco must be the restored working snapshot the plan refers to.
   /// Borrowed pointer; must outlive the run.
   const ResumePlan* resumePlan = nullptr;
-  /// Called on every fleet lifecycle event (worker failures classified into
-  /// the taxonomy, stale-epoch rejections, worker death, degradation to
-  /// in-process execution). A journaling caller appends them as "fleet"
-  /// records; timing-sensitive by nature, so they never enter the
-  /// bit-compared verdict records.
-  std::function<void(const struct FleetEvent&)> fleetEventHook;
-};
-
-/// One fleet lifecycle event (see SysecoOptions::fleetEventHook).
-struct FleetEvent {
-  std::string kind;    ///< taxonomy cause or lifecycle tag (worker-dead, ...)
-  std::string worker;  ///< "host:port" endpoint; empty for fleet-wide events
-  std::uint32_t output = 0;  ///< task output index; 0 for fleet-wide events
-  int attempt = 0;           ///< failed-attempt ordinal; 0 when n/a
-  std::string detail;
 };
 
 /// Rejects nonsensical configurations (zero samples, non-positive point
@@ -272,8 +238,9 @@ inline const char* outputRectStatusName(OutputRectStatus s) {
 }
 
 /// How a rectification worker (in-process thread or isolated subprocess)
-/// last failed. The shared failure taxonomy of the isolation supervisor
-/// and the in-process parallel path; kNone means no attempt failed.
+/// last failed. The shared failure taxonomy of the per-output commit loop
+/// and the whole-case dispatcher (--batch, the daemon); kNone means no
+/// attempt failed.
 enum class WorkerExitCause {
   kNone,          ///< clean: no worker attempt failed for this output
   kCrash,         ///< abnormal exit, fatal signal, or escaped exception
@@ -282,8 +249,8 @@ enum class WorkerExitCause {
   kWallTimeout,   ///< supervisor wall deadline; SIGTERM->SIGKILL delivered
   kGarbageIpc,    ///< response frame undecodable or semantically invalid
   kFaultInjected, ///< an injected fault the worker could still report
-  // Fleet-transport causes (--workers): the same retry/quarantine rules
-  // apply; only the classification is network-specific.
+  // Network causes of whole-case dispatch to --serve-worker agents: the
+  // same retry/quarantine rules apply; only the classification differs.
   kConnRefused,    ///< TCP connect to the agent failed
   kConnReset,      ///< connection dropped between request and result
   kFrameTruncated, ///< stream ended mid-frame

@@ -422,14 +422,6 @@ bool parseOutputRecord(const JsonValue& v, JournalOutputRecord* out) {
   return tracker && parseTracker(*tracker, &out->tracker);
 }
 
-bool parseFleetEvent(const JsonValue& v, JournalFleetEvent* out) {
-  return getString(v, "kind", &out->kind) &&
-         getString(v, "worker", &out->worker) &&
-         getU32(v, "output", &out->output) &&
-         getI64(v, "attempt", &out->attempt) &&
-         getString(v, "detail", &out->detail);
-}
-
 bool parseVerdicts(const JsonValue& v, JournalVerdicts* out) {
   const JsonValue* entries = v.find("outputs");
   if (!entries || entries->kind != JsonValue::Kind::Array) return false;
@@ -516,12 +508,9 @@ Result<JournalContents> readJournal(const std::string& dir) {
       contents.hasVerdicts = true;
       contents.verdicts = std::move(verdicts);
     } else if (type == "fleet") {
-      JournalFleetEvent ev;
-      if (!parseFleetEvent(v, &ev)) {
-        drop("malformed fleet record");
-        continue;
-      }
-      contents.fleetEvents.push_back(std::move(ev));
+      // Observability records of the retired per-output fleet transport;
+      // they never fed resume.
+      continue;
     } else if (type == "interrupted") {
       contents.interrupted = true;
     } else {
@@ -583,15 +572,6 @@ std::string serializeVerdicts(const JournalVerdicts& r) {
        << (e.certified ? "true" : "false") << "}";
   }
   os << "],\"disagreements\":" << r.disagreements << "}";
-  return os.str();
-}
-
-std::string serializeFleetEvent(const JournalFleetEvent& r) {
-  std::ostringstream os;
-  os << "{\"type\":\"fleet\",\"kind\":\"" << jsonEscape(r.kind)
-     << "\",\"worker\":\"" << jsonEscape(r.worker)
-     << "\",\"output\":" << r.output << ",\"attempt\":" << r.attempt
-     << ",\"detail\":\"" << jsonEscape(r.detail) << "\"}";
   return os.str();
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // Run-journal record schema (JSON payloads inside util/journal.hpp frames).
 //
-// Three record types, written by the CLI through the engine's hooks:
+// Four record types, written by the CLI through the engine's hooks:
 //
 //   run_start   - fingerprints (impl/spec CRC, options, seed) plus the
 //                 failing-output count and planned processing order.
@@ -11,11 +11,6 @@
 //                 report list, so resume needs only the *last* valid
 //                 output record - corrupt earlier records cost nothing.
 //   interrupted - a clean signal-initiated stop (progress marker only).
-//   fleet       - one --workers lifecycle event (a classified worker
-//                 failure, a stale-epoch rejection, worker death,
-//                 degradation to in-process execution). Observability only:
-//                 timing-dependent by nature, ignored by resume, and never
-//                 part of the bit-compared verdict records.
 //   verdicts    - the certification oracle's per-output route verdicts for
 //                 the finished run. Deliberately timing-free so the record
 //                 is bit-identical across --jobs/--isolate/--resume.
@@ -129,20 +124,10 @@ struct JournalVerdicts {
   std::uint64_t disagreements = 0;
 };
 
-/// One fleet lifecycle event (mirrors eco/syseco.hpp's FleetEvent; this
-/// layer stays engine-type-free by design).
-struct JournalFleetEvent {
-  std::string kind;    ///< taxonomy cause or lifecycle tag
-  std::string worker;  ///< "host:port"; empty for fleet-wide events
-  std::uint32_t output = 0;
-  std::int64_t attempt = 0;
-  std::string detail;
-};
-
 /// One durable state transition of the --serve daemon's job queue (the
 /// serve WAL reuses the util/journal framing but lives in its own
 /// directory, so these records never mix with an engine run journal).
-/// Engine-type-free like the fleet events: src/serve owns the semantics.
+/// Engine-type-free: src/serve owns the semantics.
 struct JournalServeEvent {
   std::string event;   ///< submitted|running|done|failed|cancelled|recovered|note
   std::string job;     ///< daemon-assigned job id; empty for daemon-wide notes
@@ -204,7 +189,6 @@ struct JournalContents {
   std::vector<JournalOutputRecord> outputs;
   bool hasVerdicts = false;  ///< a verdicts record was present (last wins)
   JournalVerdicts verdicts;
-  std::vector<JournalFleetEvent> fleetEvents;  ///< in journal order
   bool interrupted = false;  ///< an interrupted marker was present
   /// Frame-level and payload-level drop notes, line-accurate.
   std::vector<std::string> diagnostics;
@@ -219,7 +203,6 @@ Result<JournalContents> readJournal(const std::string& dir);
 std::string serializeRunStart(const JournalRunStart& r);
 std::string serializeOutputRecord(const JournalOutputRecord& r);
 std::string serializeVerdicts(const JournalVerdicts& r);
-std::string serializeFleetEvent(const JournalFleetEvent& r);
 std::string serializeInterrupted(std::uint64_t completed,
                                  std::uint64_t planned);
 

@@ -9,11 +9,10 @@
 // across retries), renews case leases from agent heartbeats, and classifies
 // everything that can go wrong - transport breaks, contained failures,
 // expired leases, stale-epoch duplicates from reassigned cases - into
-// events the caller folds into its durable ledger. Peer health follows the
-// per-output fleet's rules: two strikes mark a peer dead, a lease-expired
-// peer keeps its connection (the late duplicate is cheaper to discard by
-// epoch than a stream resync) but stops counting toward fleet health until
-// it answers.
+// events the caller folds into its durable ledger. Peer health: two
+// strikes mark a peer dead, and a lease-expired peer keeps its connection
+// (the late duplicate is cheaper to discard by epoch than a stream resync)
+// but stops counting toward fleet health until it answers.
 //
 // runBatch drives a manifest of cases to verdicts through the WAL-backed
 // BatchLedger: dispatch remote while the fleet holds >= minWorkers usable

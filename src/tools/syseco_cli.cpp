@@ -23,11 +23,13 @@
 //                       (default 1; results are bit-identical for every N.
 //                       Runs with a deadline or budget stay sequential)
 //   --isolate           run per-output workers in forked, rlimit-sandboxed
-//                       subprocesses (syseco only); a worker crash, OOM,
-//                       timeout or garbled reply is retried with backoff and
-//                       finally quarantined to the cone-clone fallback
-//                       instead of taking the run down. Clean isolated runs
-//                       are bit-identical to in-process --jobs runs.
+//                       subprocesses instead of threads (syseco only); a
+//                       crash, OOM, timeout or garbled reply is contained.
+//                       In either transport a failed worker attempt is
+//                       retried with backoff and finally quarantined to the
+//                       cone-clone fallback instead of taking the run down.
+//                       Clean isolated runs are bit-identical to in-process
+//                       --jobs runs.
 //   --isolate-max-attempts N  contained failures before quarantine (def. 3)
 //   --isolate-mem-mb N        per-worker RLIMIT_AS ceiling (0 = inherit)
 //   --isolate-cpu-s S         per-worker RLIMIT_CPU ceiling (0 = inherit)
@@ -35,27 +37,27 @@
 //                             0 disables; SIGTERM, then SIGKILL)
 //   --isolate-backoff-ms MS   base retry backoff, doubled per attempt and
 //                             capped at 5000ms, with deterministic jitter
-//   --workers LIST      distribute per-output workers over a TCP fleet of
-//                       `--serve-worker` agents (comma-separated host:port
-//                       list; syseco only, mutually exclusive with
-//                       --isolate). Tasks carry leases renewed by agent
-//                       heartbeats; disconnects, truncated frames, lease
-//                       expiries and refused connections are classified,
-//                       retried with the --isolate backoff/quarantine rules,
-//                       and duplicate results from reassigned tasks are
-//                       discarded by epoch. When fewer than
-//                       --fleet-min-workers agents remain usable the run
-//                       degrades to in-process execution. Verdict records
-//                       are bit-identical to local --jobs runs.
-//   --fleet-lease-ms MS       per-task lease (default 10000); an agent
+//   --workers LIST      with --batch or --serve: dispatch whole cases to a
+//                       TCP fleet of `--serve-worker` agents (comma-
+//                       separated host:port list). Cases carry leases
+//                       renewed by agent heartbeats; disconnects, truncated
+//                       frames, lease expiries and refused connections are
+//                       classified and retried, and duplicate results from
+//                       reassigned cases are discarded by epoch. When fewer
+//                       than --fleet-min-workers agents remain usable,
+//                       dispatch degrades to the local pool. A plain
+//                       single run rejects --workers: per-output work runs
+//                       on threads (--jobs) or subprocesses (--isolate).
+//   --fleet-lease-ms MS       per-case lease (default 10000); an agent
 //                             heartbeats every quarter-lease
 //   --fleet-min-workers N     usable-agent threshold before degrading to
-//                             in-process execution (default 1)
+//                             the local pool (default 1)
 //   --fleet-connect-timeout-ms MS  per-connect deadline (default 2000)
-//   --serve-worker PORT run as a fleet agent: listen on PORT (0 = kernel-
-//                       assigned; see --port-file) and serve task requests
-//                       until stopped. Ignores --impl/--spec; the case
-//                       arrives over the wire, content-addressed by crc32.
+//   --serve-worker PORT run as a worker agent for --batch and --serve: listen
+//                       on PORT (0 = kernel-assigned; see --port-file) and
+//                       serve whole-case tasks until stopped. Ignores
+//                       --impl/--spec; each case arrives over the wire,
+//                       content-addressed by crc32.
 //   --serve-once        agent: exit after the first supervisor disconnects
 //   --serve-cache-slots N  agent: resident-case LRU slots (netlist families
 //                       kept decoded+analyzed; default 4, LRU-evicted)
@@ -157,6 +159,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <iterator>
@@ -201,18 +204,44 @@ constexpr int kExitDegraded = 4;
 constexpr int kExitInterrupted = 130;  ///< 128 + SIGINT, journal intact
 
 /// First signal: finish the in-flight output, journal a clean interrupted
-/// record, exit kExitInterrupted. Second signal: give up immediately (the
-/// journal is still consistent - its last append either committed or will
-/// be dropped as a torn record on resume).
-volatile std::sig_atomic_t gInterrupted = 0;
+/// record, exit kExitInterrupted. A repeat of the same signal within
+/// kSignalBurstNs is the same request delivered twice - coreutils `timeout`
+/// signals the child and then its whole process group - and is absorbed.
+/// Any other second signal gives up immediately (the journal is still
+/// consistent - its last append either committed or will be dropped as a
+/// torn record on resume).
+constexpr std::int64_t kSignalBurstNs = 1000000000;  // 1 s
+volatile std::sig_atomic_t gInterrupted = 0;  ///< the first signal's number
+std::atomic<std::int64_t> gFirstSignalNs{0};
+static_assert(std::atomic<std::int64_t>::is_always_lock_free,
+              "the signal handler needs a lock-free timestamp");
 
-/// Agent-mode mirror of gInterrupted (the fleet agent polls a
+/// Agent-mode mirror of gInterrupted (the agent and the daemon poll a
 /// std::atomic<bool>; lock-free stores are async-signal-safe).
 std::atomic<bool> gAgentStop{false};
 
-void onSignal(int /*sig*/) {
-  if (gInterrupted) std::_Exit(kExitInterrupted);
-  gInterrupted = 1;
+/// CLOCK_MONOTONIC in nanoseconds; clock_gettime is async-signal-safe.
+std::int64_t monotonicNs() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
+void onSignal(int sig) {
+  if (gInterrupted) {
+    if (sig == gInterrupted &&
+        monotonicNs() - gFirstSignalNs.load(std::memory_order_relaxed) <
+            kSignalBurstNs)
+      return;
+    static constexpr char kNotice[] =
+        "syseco: second signal, exiting now; the journal keeps the last "
+        "committed output\n";
+    [[maybe_unused]] const ssize_t n =
+        ::write(STDERR_FILENO, kNotice, sizeof(kNotice) - 1);
+    std::_Exit(kExitInterrupted);
+  }
+  gFirstSignalNs.store(monotonicNs(), std::memory_order_relaxed);
+  gInterrupted = sig;
   gAgentStop.store(true, std::memory_order_relaxed);
 }
 
@@ -342,9 +371,6 @@ void writeFailureReport(const std::string& reportPath,
                " [--isolate-mem-mb N]\n"
                "          [--isolate-cpu-s S] [--isolate-wall-ms MS] "
                "[--isolate-backoff-ms MS]\n"
-               "          [--workers host:port,...] [--fleet-lease-ms MS] "
-               "[--fleet-min-workers N]\n"
-               "          [--fleet-connect-timeout-ms MS]\n"
                "          [--journal DIR] [--resume DIR] "
                "[--audit off|boundaries|paranoid]\n"
                "          [--no-oracle] [--oracle-bdd-budget N] "
@@ -358,13 +384,17 @@ void writeFailureReport(const std::string& reportPath,
                "[--serve-max-jobs N]\n"
                "          [--serve-max-tenant N] [--serve-max-bytes-mb N] "
                "[--serve-attempts N]\n"
-               "          [--port-file FILE] [--verbose]\n"
+               "          [--workers host:port,...] [--fleet-lease-ms MS] "
+               "[--fleet-min-workers N]\n"
+               "          [--fleet-connect-timeout-ms MS] [--port-file FILE] "
+               "[--verbose]\n"
                "       %s --batch MANIFEST (--batch-state DIR | --resume "
                "DIR)\n"
                "          [--workers host:port,...] [--fleet-lease-ms MS] "
                "[--fleet-min-workers N]\n"
-               "          [--serve-pool N] [--serve-attempts N] [--seed S] "
-               "[--jobs N] [--verbose]\n"
+               "          [--fleet-connect-timeout-ms MS] [--serve-pool N] "
+               "[--serve-attempts N]\n"
+               "          [--seed S] [--jobs N] [--verbose]\n"
                "       %s --connect HOST:PORT --impl FILE --spec FILE "
                "[--tenant NAME]\n"
                "          [--detach] [--out FILE] [--report FILE] [--seed S] "
@@ -380,7 +410,7 @@ void writeFailureReport(const std::string& reportPath,
 int main(int argc, char** argv) {
   std::string implPath, specPath, outPath, reportPath, engine = "syseco";
   std::string journalDir, resumeDir, portFilePath;
-  int servePort = -1;  ///< >= 0: run as a fleet agent instead of an engine
+  int servePort = -1;  ///< >= 0: run as a worker agent instead of an engine
   bool serveOnce = false;
   std::size_t serveCacheSlots = 4;
   int daemonPort = -1;  ///< >= 0: run as the resident --serve daemon
@@ -393,6 +423,11 @@ int main(int argc, char** argv) {
   std::string statusJob, waitJob, cancelJob;
   std::string batchManifest, batchStateDir;
   bool detach = false;
+  // Agent endpoints and dispatch knobs of --batch / --serve.
+  std::vector<std::string> workers;
+  double fleetLeaseSeconds = 10.0;
+  int fleetConnectTimeoutMs = 2000;
+  int fleetMinWorkers = 1;
   SysecoOptions opt;
   // The exact-fix baseline keeps reordering off unless the user asks: its
   // ISOP patch shapes depend on the variable order.
@@ -486,19 +521,28 @@ int main(int argc, char** argv) {
           const std::string entry =
               list.substr(pos, comma == std::string::npos ? std::string::npos
                                                           : comma - pos);
-          if (!entry.empty()) opt.workers.push_back(entry);
+          if (!entry.empty()) workers.push_back(entry);
           if (comma == std::string::npos) break;
           pos = comma + 1;
         }
-        if (opt.workers.empty())
+        if (workers.empty())
           throw std::invalid_argument("expected a host:port list");
       }
-      else if (arg == "--fleet-lease-ms")
-        opt.fleetLeaseSeconds = std::stod(value()) / 1000.0;
-      else if (arg == "--fleet-min-workers")
-        opt.fleetMinWorkers = std::stoi(value());
-      else if (arg == "--fleet-connect-timeout-ms")
-        opt.fleetConnectTimeoutMs = std::stoi(value());
+      else if (arg == "--fleet-lease-ms") {
+        fleetLeaseSeconds = std::stod(value()) / 1000.0;
+        if (!(fleetLeaseSeconds > 0.0))
+          throw std::invalid_argument("lease must be positive");
+      }
+      else if (arg == "--fleet-min-workers") {
+        fleetMinWorkers = std::stoi(value());
+        if (fleetMinWorkers <= 0)
+          throw std::invalid_argument("minimum must be positive");
+      }
+      else if (arg == "--fleet-connect-timeout-ms") {
+        fleetConnectTimeoutMs = std::stoi(value());
+        if (fleetConnectTimeoutMs <= 0)
+          throw std::invalid_argument("timeout must be positive");
+      }
       else if (arg == "--serve-worker") {
         servePort = std::stoi(value());
         if (servePort < 0 || servePort > 65535)
@@ -598,7 +642,7 @@ int main(int argc, char** argv) {
     return kExitInvalidInput;
   }
   if (servePort >= 0) {
-    // Fleet-agent mode: serve task requests over TCP until stopped. No
+    // Agent mode: serve whole-case tasks over TCP until stopped. No
     // netlists are loaded here - the case arrives over the wire.
     installSignalHandlers();
     removeStalePortFile(portFilePath);
@@ -635,10 +679,10 @@ int main(int argc, char** argv) {
     so.limits = serveLimits;
     so.maxAttempts = serveAttempts;
     so.backoffBaseMs = opt.isolateBackoffMs;
-    so.workers = opt.workers;
-    so.fleetLeaseSeconds = opt.fleetLeaseSeconds;
-    so.fleetConnectTimeoutMs = opt.fleetConnectTimeoutMs;
-    so.fleetMinWorkers = opt.fleetMinWorkers;
+    so.workers = workers;
+    so.fleetLeaseSeconds = fleetLeaseSeconds;
+    so.fleetConnectTimeoutMs = fleetConnectTimeoutMs;
+    so.fleetMinWorkers = fleetMinWorkers;
     so.verbose = opt.verbose;
     so.stop = &gAgentStop;
     if (!portFilePath.empty()) so.boundHook = portFileHook(portFilePath);
@@ -674,10 +718,10 @@ int main(int argc, char** argv) {
       return kExitUsage;
     }
     bo.selfExe = selfExePath(argv[0]);
-    bo.workers = opt.workers;
-    bo.leaseSeconds = opt.fleetLeaseSeconds;
-    bo.connectTimeoutMs = opt.fleetConnectTimeoutMs;
-    bo.minWorkers = opt.fleetMinWorkers;
+    bo.workers = workers;
+    bo.leaseSeconds = fleetLeaseSeconds;
+    bo.connectTimeoutMs = fleetConnectTimeoutMs;
+    bo.minWorkers = fleetMinWorkers;
     bo.poolSize = servePool;
     bo.maxAttempts = serveAttempts;
     bo.backoffBaseMs = opt.isolateBackoffMs;
@@ -823,10 +867,12 @@ int main(int argc, char** argv) {
                        kExitUsage);
     return kExitUsage;
   }
-  if (!opt.workers.empty() && engine != "syseco") {
-    std::fprintf(stderr, "error: --workers supports only the syseco engine\n");
-    writeFailureReport(reportPath, engine,
-                       "--workers supports only the syseco engine", kExitUsage);
+  if (!workers.empty()) {
+    const char* why =
+        "--workers dispatches whole cases and needs --batch or --serve; a "
+        "single run uses --jobs N or --isolate";
+    std::fprintf(stderr, "error: %s\n", why);
+    writeFailureReport(reportPath, engine, why, kExitUsage);
     return kExitUsage;
   }
 
@@ -973,22 +1019,6 @@ int main(int argc, char** argv) {
           // would silently lose. Stop as interrupted; --resume recovers
           // from the last COMMIT-consistent prefix.
           return gInterrupted == 0 && journalFault.empty();
-        };
-        // Fleet lifecycle events become "fleet" records: the journal keeps
-        // the full failure/retry/degradation history of a --workers run.
-        // Timing-dependent by design, ignored by resume, and never part of
-        // the bit-compared verdict records.
-        opt.fleetEventHook = [&](const FleetEvent& ev) {
-          JournalFleetEvent rec;
-          rec.kind = ev.kind;
-          rec.worker = ev.worker;
-          rec.output = ev.output;
-          rec.attempt = ev.attempt;
-          rec.detail = ev.detail;
-          const Status s = journal.append(serializeFleetEvent(rec));
-          if (!s.isOk())
-            std::fprintf(stderr, "warning: journal write failed: %s\n",
-                         s.toString().c_str());
         };
       }
 

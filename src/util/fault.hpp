@@ -67,9 +67,9 @@ enum class Kind {
   // the engine silently miscompiles a committed patch so the tri-modal
   // oracle must catch, diagnose and quarantine the corrupted output.
   kWrongPatch,  ///< engine: corrupt a committed patch before certification
-  // Fleet-transport kinds, honored at the worker-agent sites (grep for
-  // fault::fire("fleet.agent")): the agent genuinely misbehaves on the
-  // wire and the --workers supervisor must classify and contain it.
+  // Agent-transport kinds, honored at the worker-agent sites (grep for
+  // fault::fire("fleet.agent.case")): the agent genuinely misbehaves on the
+  // wire and the case dispatcher must classify and contain it.
   kNetTruncate,  ///< agent: send a partial result frame, then close
   kNetReset,     ///< agent: drop the connection between request and result
   kNetDelay,     ///< agent: suppress heartbeats and respond after the lease

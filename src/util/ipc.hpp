@@ -35,14 +35,13 @@ inline constexpr std::uint32_t kMaxPayloadBytes = 1u << 26;  // 64 MiB
 /// Message types. Values are part of the wire format.
 inline constexpr std::uint32_t kTypeTaskRequest = 1;
 inline constexpr std::uint32_t kTypeWorkerResult = 2;
-// Fleet transport (util/socket.hpp): a persistent TCP stream carries many
+// Agent transport (util/socket.hpp): a persistent TCP stream carries many
 // frames per direction, so these travel through the incremental decoder
-// below rather than the one-shot decodeFrame contract.
-inline constexpr std::uint32_t kTypeFleetTask = 3;       ///< supervisor -> agent
+// below rather than the one-shot decodeFrame contract. Types 3 and 7 (the
+// retired per-output task and result) are not reused.
 inline constexpr std::uint32_t kTypeFleetNeedCase = 4;   ///< agent -> supervisor
 inline constexpr std::uint32_t kTypeFleetCase = 5;       ///< supervisor -> agent
 inline constexpr std::uint32_t kTypeFleetHeartbeat = 6;  ///< agent -> supervisor
-inline constexpr std::uint32_t kTypeFleetResult = 7;     ///< agent -> supervisor
 inline constexpr std::uint32_t kTypeFleetFailure = 8;    ///< agent -> supervisor
 // ECO-as-a-service session protocol (src/serve/): a client submits whole
 // rectification jobs to the resident `--serve` daemon and polls their

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
@@ -22,7 +24,10 @@
 #include "io/journal_io.hpp"
 #include "serve/batch.hpp"
 #include "serve/batch_ledger.hpp"
+#include "util/fault.hpp"
+#include "util/journal.hpp"
 #include "util/subprocess.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -295,10 +300,7 @@ TEST(BatchManifest, FailsClosedOnHostileInput) {
 // --- The WAL-backed batch ledger ------------------------------------------
 
 std::string freshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_batch_" + name;
-  const std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("batch", name);
 }
 
 TEST(BatchLedgerWal, TransitionsAreDurableAndFoldBack) {
@@ -531,6 +533,141 @@ TEST(BatchEndToEnd, FreshStateDirRefusesAResumedLedger) {
   Result<serve::BatchOutcome> third = serve::runBatch(opt);
   ASSERT_TRUE(third.isOk()) << third.status().toString();
   EXPECT_EQ(third.value().done, 2u);
+}
+
+// --- Network faults of whole-case dispatch ---------------------------------
+//
+// Each test arms one agent-side fault site for the first dispatch of case
+// alu-s1, sweeps the manifest over two loopback agents, and checks that the
+// fault is classified in the ledger WAL while both cases still drain to
+// the artifacts of a clean sweep.
+
+/// Every batch event the sweep appended to its ledger WAL, in order.
+std::vector<JournalBatchEvent> ledgerEvents(const std::string& stateDir) {
+  std::vector<JournalBatchEvent> events;
+  Result<JournalScan> scan = scanJournal(stateDir + "/ledger");
+  if (!scan.isOk()) return events;
+  for (const JournalFrame& f : scan.value().frames) {
+    Result<JournalBatchEvent> ev = parseBatchEvent(f.payload);
+    if (ev.isOk()) events.push_back(ev.take());
+  }
+  return events;
+}
+
+class BatchFleetFaults : public ::testing::Test {
+ protected:
+  void TearDown() override { fault::Injector::instance().reset(); }
+
+  /// Sweeps the manifest over two fresh agents with `kind` scheduled once at
+  /// the agent site of case alu-s1. Returns the sweep's state directory
+  /// after checking that it drained cleanly and matches a fault-free sweep.
+  std::string sweepWithFault(fault::Kind kind, double leaseSeconds,
+                             double backoffBaseMs) {
+    const std::string dir = freshDir("fault");
+    EXPECT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+    const std::string manifest = writeManifest(dir);
+    {
+      Agent a1, a2;
+      a1.start();
+      a2.start();
+      serve::BatchOptions clean = baseOptions(manifest, dir + "/clean");
+      clean.workers = {a1.spec(), a2.spec()};
+      Result<serve::BatchOutcome> ran = serve::runBatch(clean);
+      EXPECT_TRUE(ran.isOk()) << ran.status().toString();
+    }
+    Agent a1, a2;
+    a1.start();
+    a2.start();
+    fault::Injector::instance().schedule("fleet.agent.case.alu-s1", kind, 0);
+    serve::BatchOptions opt = baseOptions(manifest, dir + "/state");
+    opt.workers = {a1.spec(), a2.spec()};
+    opt.leaseSeconds = leaseSeconds;
+    opt.backoffBaseMs = backoffBaseMs;
+    Result<serve::BatchOutcome> out = serve::runBatch(opt);
+    EXPECT_TRUE(out.isOk()) << out.status().toString();
+    if (out.isOk()) {
+      EXPECT_EQ(out.value().done, 2u);
+      EXPECT_EQ(out.value().failed, 0u);
+      EXPECT_FALSE(out.value().degradedToLocal);
+    }
+    for (const char* name : {"alu-s1", "alu-s2"}) {
+      const std::string got = dir + "/state/cases/" + name;
+      const std::string want = dir + "/clean/cases/" + name;
+      EXPECT_FALSE(slurp(got + "/out.blif").empty()) << name;
+      EXPECT_EQ(slurp(got + "/out.blif"), slurp(want + "/out.blif")) << name;
+      EXPECT_EQ(slurp(got + "/verdicts.txt"), slurp(want + "/verdicts.txt"))
+          << name;
+    }
+    return dir + "/state";
+  }
+
+  /// Requeue causes the ledger recorded for case alu-s1.
+  static std::vector<std::string> requeueCauses(const std::string& state) {
+    std::vector<std::string> causes;
+    for (const JournalBatchEvent& ev : ledgerEvents(state))
+      if (ev.event == "requeued" && ev.name == "alu-s1")
+        causes.push_back(ev.cause);
+    return causes;
+  }
+
+  /// The dispatch ordinal alu-s1 finished on (1 = first attempt).
+  static std::int64_t finalAttempt(const std::string& state) {
+    std::int64_t attempt = 0;
+    for (const JournalBatchEvent& ev : ledgerEvents(state))
+      if (ev.event == "done" && ev.name == "alu-s1") attempt = ev.attempt;
+    return attempt;
+  }
+};
+
+TEST_F(BatchFleetFaults, ConnectionResetConsumesOneAttemptAndTheBatchRecovers) {
+  const std::string state = sweepWithFault(fault::Kind::kNetReset, 10.0, 1.0);
+  EXPECT_EQ(requeueCauses(state), std::vector<std::string>{"conn-reset"});
+  EXPECT_EQ(finalAttempt(state), 2);
+}
+
+TEST_F(BatchFleetFaults, TruncatedResultFrameClassifiesAsFrameTruncated) {
+  const std::string state =
+      sweepWithFault(fault::Kind::kNetTruncate, 10.0, 1.0);
+  EXPECT_EQ(requeueCauses(state), std::vector<std::string>{"frame-truncated"});
+  EXPECT_EQ(finalAttempt(state), 2);
+}
+
+TEST_F(BatchFleetFaults, SilentAgentLosesItsLeaseAndTheCaseIsReclaimed) {
+  const std::string state = sweepWithFault(fault::Kind::kHang, 0.5, 1.0);
+  EXPECT_EQ(requeueCauses(state), std::vector<std::string>{"lease-expired"});
+  EXPECT_EQ(finalAttempt(state), 2);
+}
+
+TEST_F(BatchFleetFaults, LateDuplicateResultIsDiscardedByEpoch) {
+  // The delayed agent answers about 1 s after dispatch (1.5 leases plus its
+  // compute); a 1.5 s redispatch backoff keeps the sweep open past that,
+  // so the duplicate reaches the dispatcher and must lose by epoch.
+  const std::string state = sweepWithFault(fault::Kind::kNetDelay, 0.5, 1500.0);
+  EXPECT_EQ(requeueCauses(state), std::vector<std::string>{"lease-expired"});
+  EXPECT_EQ(finalAttempt(state), 2);
+  bool discarded = false;
+  for (const JournalBatchEvent& ev : ledgerEvents(state))
+    discarded |= ev.event == "note" &&
+                 ev.detail.find("stale-epoch duplicate") != std::string::npos &&
+                 ev.detail.find("alu-s1") != std::string::npos;
+  EXPECT_TRUE(discarded);
+}
+
+// --- The CLI keeps --workers to whole-case dispatch -------------------------
+
+TEST(BatchCli, WorkersOnASingleRunIsAUsageErrorNamingBatch) {
+  const std::string dir = freshDir("cli");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string data = std::string(SYSECO_SOURCE_DIR) + "/data/";
+  const std::string cmd = std::string(SYSECO_CLI_BIN) + " --impl " + data +
+                          "alu_impl.blif --spec " + data +
+                          "alu_spec.blif --workers 127.0.0.1:9000 > '" + dir +
+                          "/log' 2>&1";
+  const int rc = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  EXPECT_EQ(WEXITSTATUS(rc), 2);  // kExitUsage
+  EXPECT_NE(slurp(dir + "/log").find("--batch"), std::string::npos)
+      << slurp(dir + "/log");
 }
 
 #endif  // SYSECO_CLI_BIN

@@ -26,15 +26,13 @@
 #include "util/fault.hpp"
 #include "util/fault_plan.hpp"
 #include "util/journal.hpp"
+#include "test_dirs.hpp"
 
 namespace syseco {
 namespace {
 
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_chaos_" + name;
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("chaos", name);
 }
 
 std::string slurp(const std::string& path) {

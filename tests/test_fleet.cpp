@@ -1,10 +1,9 @@
-// Fault-tolerant distributed worker fleet: the framed TCP transport's
-// stream classification, the fleet codecs (task lease/epoch envelopes and
-// the content-addressed case upload), the transport-independent retry
-// backoff, and the supervisor's network failure taxonomy - scripted rogue
-// peers inject each fault deterministically and every run must still end
-// bit-identical to the local in-process run, with the fault classified,
-// the retry accounted, and dead fleets degrading instead of aborting.
+// The agent transport's building blocks: the framed TCP stream
+// classification, the agent codecs (content-addressed case upload,
+// need-case / heartbeat / failure envelopes), the agent's resident-case
+// LRU, the transport-independent retry backoff, and the validation of the
+// dispatch knobs. The end-to-end network failure taxonomy of whole-case
+// dispatch lives in test_batch.cpp.
 
 #include <gtest/gtest.h>
 
@@ -27,12 +26,11 @@
 #include "eco/fleet.hpp"
 #include "eco/isolate.hpp"
 #include "eco/syseco.hpp"
-#include "gen/eco_case.hpp"
-#include "io/journal_io.hpp"
 #include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -44,11 +42,11 @@ namespace {
 // --- Stream classification (net::takeFrame) -------------------------------
 
 TEST(FleetTransport, TakeFrameExtractsFramesAndPreservesTheRest) {
-  std::string buf = ipc::encodeFrame(ipc::kTypeFleetTask, "first") +
-                    ipc::encodeFrame(ipc::kTypeFleetResult, "second");
+  std::string buf = ipc::encodeFrame(ipc::kTypeFleetCaseTask, "first") +
+                    ipc::encodeFrame(ipc::kTypeFleetCaseResult, "second");
   net::RecvOutcome one = net::takeFrame(&buf, /*eof=*/false);
   ASSERT_EQ(one.status, net::RecvStatus::kFrame);
-  EXPECT_EQ(one.frame.type, ipc::kTypeFleetTask);
+  EXPECT_EQ(one.frame.type, ipc::kTypeFleetCaseTask);
   EXPECT_EQ(one.frame.payload, "first");
   net::RecvOutcome two = net::takeFrame(&buf, /*eof=*/false);
   ASSERT_EQ(two.status, net::RecvStatus::kFrame);
@@ -65,7 +63,7 @@ TEST(FleetTransport, CleanEofOnAFrameBoundaryIsClosed) {
 
 TEST(FleetTransport, EofMidFrameIsTruncatedNotGarbage) {
   const std::string full =
-      ipc::encodeFrame(ipc::kTypeFleetResult, std::string(256, 'x'));
+      ipc::encodeFrame(ipc::kTypeFleetCaseResult, std::string(256, 'x'));
   std::string buf = full.substr(0, full.size() / 2);
   // The stream is intact while the peer might still send the rest...
   EXPECT_EQ(net::takeFrame(&buf, /*eof=*/false).status,
@@ -105,29 +103,6 @@ TEST(FleetTransport, ParseHostPortAcceptsEndpointsAndRejectsJunk) {
 
 // --- Fleet payload codecs -------------------------------------------------
 
-TEST(FleetCodec, TaskRequestRoundtrips) {
-  FleetTaskRequest req;
-  req.output = 9;
-  req.attempt = 2;
-  req.epoch = 0xfeedfacecafeULL;
-  req.leaseSeconds = 2.5;
-  req.caseCrc = 0xdeadbeef;
-  Result<FleetTaskRequest> back =
-      decodeFleetTaskRequest(encodeFleetTaskRequest(req));
-  ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_EQ(back.value().output, 9u);
-  EXPECT_EQ(back.value().attempt, 2);
-  EXPECT_EQ(back.value().epoch, 0xfeedfacecafeULL);
-  EXPECT_DOUBLE_EQ(back.value().leaseSeconds, 2.5);
-  EXPECT_EQ(back.value().caseCrc, 0xdeadbeefu);
-}
-
-TEST(FleetCodec, TaskRequestRejectsGarbage) {
-  EXPECT_FALSE(decodeFleetTaskRequest("").isOk());
-  EXPECT_FALSE(decodeFleetTaskRequest("not json").isOk());
-  EXPECT_FALSE(decodeFleetTaskRequest("{\"output\":1}").isOk());
-}
-
 TEST(FleetCodec, NeedCaseAndHeartbeatRoundtrip) {
   Result<std::uint32_t> crc = decodeFleetNeedCase(encodeFleetNeedCase(77));
   ASSERT_TRUE(crc.isOk());
@@ -148,39 +123,6 @@ Netlist resultBase() {
   nl.addOutput("o", nl.addGate(GateType::And, {a, b}));
   nl.addOutput("p", nl.addGate(GateType::Or, {a, b}));
   return nl;
-}
-
-TEST(FleetCodec, ResultEnvelopeCarriesTheEpochAndDecodesAsAPatch) {
-  const Netlist base = resultBase();
-  WorkerPatch p;
-  p.produced = true;
-  p.baseGates = base.numGatesTotal();
-  p.baseNets = base.numNetsTotal();
-  p.gates.push_back(
-      WorkerPatch::NewGate{GateType::Xor, {0, 1}, static_cast<NetId>(p.baseNets)});
-  PatchTracker::RewireRecord rw;
-  rw.sink = Sink{kNullId, 0};
-  rw.oldNet = base.outputNet(0);
-  rw.newNet = static_cast<NetId>(p.baseNets);
-  p.rewires.push_back(rw);
-  OutputReport rep;
-  rep.output = 0;
-  rep.name = base.outputName(0);
-  rep.status = OutputRectStatus::kExact;
-  p.frag.outputs.push_back(rep);
-
-  const std::string payload = encodeFleetResult(41, p);
-  Result<std::uint64_t> ep = peekFleetEpoch(payload);
-  ASSERT_TRUE(ep.isOk());
-  EXPECT_EQ(ep.value(), 41u);
-  // The same payload is a plain WorkerPatch document to the patch decoder.
-  Result<WorkerPatch> back = decodeWorkerPatch(payload, base);
-  ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_TRUE(back.value().produced);
-  ASSERT_EQ(back.value().gates.size(), 1u);
-  EXPECT_EQ(back.value().gates[0].type, GateType::Xor);
-  EXPECT_FALSE(peekFleetEpoch("garbage").isOk());
-  EXPECT_FALSE(peekFleetEpoch("{\"produced\":true}").isOk());
 }
 
 TEST(FleetCodec, FailureRoundtripsAndRejectsUnknownCauses) {
@@ -306,19 +248,18 @@ TEST(FleetBackoff, JitterFractionIsAttemptInvariant) {
 }
 
 TEST(FleetBackoff, ScheduleIgnoresTheTransportConfiguration) {
-  SysecoOptions pipes;
-  pipes.seed = 42;
-  pipes.isolate = true;
-  SysecoOptions fleet = pipes;
-  fleet.isolate = false;
-  fleet.workers = {"10.0.0.1:9000", "10.0.0.2:9000"};
-  fleet.fleetLeaseSeconds = 0.25;
-  fleet.fleetMinWorkers = 2;
-  fleet.fleetConnectTimeoutMs = 123;
+  SysecoOptions forked;
+  forked.seed = 42;
+  forked.isolate = true;
+  forked.isolateWallSeconds = 5.0;
+  forked.isolateMemoryBytes = 1u << 30;
+  SysecoOptions threads = forked;
+  threads.isolate = false;
+  threads.jobs = 4;
   for (std::uint32_t o = 0; o < 32; ++o)
     for (int attempt = 1; attempt <= 6; ++attempt)
-      EXPECT_DOUBLE_EQ(retryBackoffSeconds(pipes, o, attempt),
-                       retryBackoffSeconds(fleet, o, attempt));
+      EXPECT_DOUBLE_EQ(retryBackoffSeconds(forked, o, attempt),
+                       retryBackoffSeconds(threads, o, attempt));
 }
 
 TEST(FleetBackoff, JitterVariesWithSeedAndOutputAndStaysBounded) {
@@ -341,452 +282,39 @@ TEST(FleetBackoff, JitterVariesWithSeedAndOutputAndStaysBounded) {
   EXPECT_LE(retryBackoffSeconds(a, 0, 1000), 7.5);
 }
 
-// --- Engine-level fleet runs against scripted peers -----------------------
-
-EcoCase fleetEcoCase(std::uint64_t seed) {
-  CaseRecipe r;
-  r.name = "fleet" + std::to_string(seed);
-  r.spec = SpecParams{3, 6, 3, 2, 5, 4, 3, 3};
-  r.mutations = 3;
-  r.targetRevisedFraction = 0.3;
-  r.optRounds = 2;
-  r.seed = seed;
-  return makeCase(r);
-}
-
-struct CapturedRun {
-  EcoResult result;
-  SysecoDiagnostics diag;
-  std::string dump;
-};
-
-struct FleetOutcome {
-  CapturedRun run;
-  std::vector<FleetEvent> events;
-};
-
-CapturedRun runLocalCase(const EcoCase& c) {
-  CapturedRun run;
-  SysecoOptions opt;
-  opt.jobs = 1;
-  run.result = runSyseco(c.impl, c.spec, opt, &run.diag);
-  run.dump = run.result.rectified.dumpRawString();
-  return run;
-}
-
-FleetOutcome runFleetCase(const EcoCase& c, std::vector<std::string> workers,
-                          double leaseSeconds, double backoffMs) {
-  FleetOutcome out;
-  SysecoOptions opt;
-  opt.workers = std::move(workers);
-  opt.fleetLeaseSeconds = leaseSeconds;
-  opt.isolateBackoffMs = backoffMs;
-  opt.fleetConnectTimeoutMs = 500;
-  // The hook runs on the supervisor thread; no synchronization needed.
-  opt.fleetEventHook = [&](const FleetEvent& e) { out.events.push_back(e); };
-  out.run.result = runSyseco(c.impl, c.spec, opt, &out.run.diag);
-  out.run.dump = out.run.result.rectified.dumpRawString();
-  return out;
-}
-
-/// Full bit-identity minus the worker-retry accounting (which by design
-/// records what the faults cost).
-void expectSameRectification(const CapturedRun& a, const CapturedRun& b) {
-  ASSERT_TRUE(a.result.success);
-  ASSERT_TRUE(b.result.success);
-  EXPECT_EQ(a.dump, b.dump);
-  EXPECT_EQ(a.result.stats.gates, b.result.stats.gates);
-  EXPECT_EQ(a.result.stats.nets, b.result.stats.nets);
-  ASSERT_EQ(a.diag.outputs.size(), b.diag.outputs.size());
-  for (std::size_t i = 0; i < a.diag.outputs.size(); ++i) {
-    const OutputReport& x = a.diag.outputs[i];
-    const OutputReport& y = b.diag.outputs[i];
-    EXPECT_EQ(x.output, y.output) << "report " << i;
-    EXPECT_EQ(x.name, y.name) << "report " << i;
-    EXPECT_EQ(x.status, y.status) << "report " << i;
-    EXPECT_EQ(x.limit, y.limit) << "report " << i;
-    EXPECT_EQ(x.conflictsUsed, y.conflictsUsed) << "report " << i;
-    EXPECT_EQ(x.bddNodesUsed, y.bddNodesUsed) << "report " << i;
-    EXPECT_EQ(x.degradeSteps, y.degradeSteps) << "report " << i;
-  }
-  EXPECT_EQ(a.diag.conflictsUsed, b.diag.conflictsUsed);
-  EXPECT_EQ(a.diag.bddNodesUsed, b.diag.bddNodesUsed);
-  EXPECT_EQ(a.diag.outputsRectified, b.diag.outputsRectified);
-  EXPECT_EQ(a.diag.outputsViaFallback, b.diag.outputsViaFallback);
-}
-
-bool hasEvent(const std::vector<FleetEvent>& events, const std::string& kind) {
-  for (const FleetEvent& e : events)
-    if (e.kind == kind) return true;
-  return false;
-}
-
-/// Asserts exactly one output paid exactly one failed attempt with `cause`
-/// (the scripted rogue peer's single sabotage), everything else clean.
-void expectOneFailedAttempt(const SysecoDiagnostics& diag,
-                            WorkerExitCause cause) {
-  int hits = 0;
-  for (const OutputReport& r : diag.outputs) {
-    if (r.workerFailedAttempts == 0) {
-      EXPECT_EQ(r.workerExitCause, WorkerExitCause::kNone) << r.output;
-      continue;
-    }
-    ++hits;
-    EXPECT_EQ(r.workerFailedAttempts, 1) << "output " << r.output;
-    EXPECT_EQ(r.workerExitCause, cause) << "output " << r.output;
-  }
-  EXPECT_EQ(hits, 1);
-}
-
-/// A real --serve-worker agent on a loopback ephemeral port, in-thread.
-struct Agent {
-  std::atomic<bool> stop{false};
-  std::atomic<int> port{-1};
-  std::thread th;
-
-  void start() {
-    th = std::thread([this] {
-      FleetAgentOptions o;
-      o.port = 0;
-      o.stop = &stop;
-      o.boundHook = [this](std::uint16_t bound) {
-        port.store(static_cast<int>(bound));
-      };
-      const Status st = runWorkerAgent(o);
-      if (!st.isOk())
-        ADD_FAILURE() << "agent failed: " << st.toString();
-    });
-    while (port.load() < 0) subprocess::pollReadable({}, 10);
-  }
-
-  std::string spec() const {
-    return "127.0.0.1:" + std::to_string(port.load());
-  }
-
-  ~Agent() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-  }
-};
-
-/// A scripted rogue peer: accepts the supervisor once, hands the connection
-/// to the test's script, and dies. The script decides how to sabotage.
-struct RoguePeer {
-  std::atomic<bool> stop{false};
-  std::uint16_t port = 0;
-  int listenFd = -1;
-  std::thread th;
-
-  void start(std::function<void(RoguePeer&, int&, std::string&)> script) {
-    Result<int> lf = net::listenOn(0, &port);
-    ASSERT_TRUE(lf.isOk()) << lf.status().toString();
-    listenFd = lf.take();
-    th = std::thread([this, script = std::move(script)] {
-      int fd = -1;
-      while (!stop.load() && fd < 0) {
-        Result<int> c = net::acceptClient(listenFd, 100);
-        if (!c.isOk()) return;
-        if (c.value() >= 0) fd = c.value();
-      }
-      if (fd < 0) return;
-      std::string rx;
-      script(*this, fd, rx);
-      if (fd >= 0) net::closeSocket(fd);
-    });
-  }
-
-  std::string spec() const { return "127.0.0.1:" + std::to_string(port); }
-
-  void closeListener() { net::closeSocket(listenFd); }
-
-  std::optional<ipc::Frame> readFrame(int fd, std::string& rx) {
-    while (!stop.load()) {
-      net::RecvOutcome out = net::recvFrame(fd, &rx, 100);
-      if (out.status == net::RecvStatus::kFrame) return out.frame;
-      if (out.status != net::RecvStatus::kTimeout) return std::nullopt;
-    }
-    return std::nullopt;
-  }
-
-  void sleepMs(int ms) {
-    for (int waited = 0; waited < ms && !stop.load(); waited += 20)
-      subprocess::pollReadable({}, 20);
-  }
-
-  ~RoguePeer() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-    if (listenFd >= 0) net::closeSocket(listenFd);
-  }
-};
-
-TEST(FleetEngine, CleanFleetRunIsBitIdenticalToTheLocalRun) {
-  const EcoCase c = fleetEcoCase(11);
-  Agent a1, a2;
-  a1.start();
-  a2.start();
-  const FleetOutcome fleet =
-      runFleetCase(c, {a1.spec(), a2.spec()}, 10.0, 1.0);
-  const CapturedRun local = runLocalCase(c);
-  expectSameRectification(local, fleet.run);
-  for (const OutputReport& r : fleet.run.diag.outputs) {
-    EXPECT_EQ(r.workerFailedAttempts, 0) << r.output;
-    EXPECT_EQ(r.workerExitCause, WorkerExitCause::kNone) << r.output;
-  }
-  // Nothing but case uploads on a healthy fleet.
-  for (const FleetEvent& e : fleet.events) EXPECT_EQ(e.kind, "case-upload");
-}
-
-TEST(FleetEngine, ConnectionResetConsumesOneAttemptAndTheRunRecovers) {
-  const EcoCase c = fleetEcoCase(11);
-  RoguePeer rogue;
-  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
-    // Take the task, then vanish between request and result.
-    (void)self.readFrame(fd, rx);
-    net::closeSocket(fd);
-    self.closeListener();
-  });
-  Agent good;
-  good.start();
-  const FleetOutcome fleet =
-      runFleetCase(c, {rogue.spec(), good.spec()}, 10.0, 1.0);
-  expectSameRectification(runLocalCase(c), fleet.run);
-  expectOneFailedAttempt(fleet.run.diag, WorkerExitCause::kConnReset);
-  EXPECT_TRUE(hasEvent(fleet.events, "conn-reset"));
-  EXPECT_TRUE(hasEvent(fleet.events, "worker-dead"));
-}
-
-TEST(FleetEngine, TruncatedResultFrameClassifiesAsFrameTruncated) {
-  const EcoCase c = fleetEcoCase(11);
-  RoguePeer rogue;
-  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
-    (void)self.readFrame(fd, rx);
-    // A valid frame header promising bytes that never arrive.
-    const std::string full =
-        ipc::encodeFrame(ipc::kTypeFleetResult, std::string(512, 'y'));
-    (void)ioretry::writeAllRaw(
-        fd, std::string_view(full).substr(0, full.size() / 2), true);
-    net::closeSocket(fd);
-    self.closeListener();
-  });
-  Agent good;
-  good.start();
-  const FleetOutcome fleet =
-      runFleetCase(c, {rogue.spec(), good.spec()}, 10.0, 1.0);
-  expectSameRectification(runLocalCase(c), fleet.run);
-  expectOneFailedAttempt(fleet.run.diag, WorkerExitCause::kFrameTruncated);
-  EXPECT_TRUE(hasEvent(fleet.events, "frame-truncated"));
-}
-
-TEST(FleetEngine, SilentWorkerLosesItsLeaseAndTheTaskMovesOn) {
-  const EcoCase c = fleetEcoCase(11);
-  RoguePeer rogue;
-  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
-    // Accept the task, then neither heartbeat nor answer nor hang up.
-    (void)self.readFrame(fd, rx);
-    self.sleepMs(60000);
-  });
-  Agent good;
-  good.start();
-  const FleetOutcome fleet =
-      runFleetCase(c, {rogue.spec(), good.spec()}, /*lease=*/0.4, 1.0);
-  expectSameRectification(runLocalCase(c), fleet.run);
-  expectOneFailedAttempt(fleet.run.diag, WorkerExitCause::kLeaseExpired);
-  EXPECT_TRUE(hasEvent(fleet.events, "lease-expired"));
-  EXPECT_FALSE(hasEvent(fleet.events, "stale-epoch"));
-}
-
-TEST(FleetEngine, LateDuplicateResultIsDiscardedByEpoch) {
-  const EcoCase c = fleetEcoCase(11);
-  RoguePeer rogue;
-  rogue.start([](RoguePeer& self, int& fd, std::string& rx) {
-    std::optional<ipc::Frame> task = self.readFrame(fd, rx);
-    if (!task || task->type != ipc::kTypeFleetTask) return;
-    Result<FleetTaskRequest> req = decodeFleetTaskRequest(task->payload);
-    if (!req.isOk()) return;
-    // Outlive the lease in silence, then deliver the reclaimed
-    // assignment's result anyway: a well-formed envelope whose epoch the
-    // supervisor must recognize as superseded and discard.
-    self.sleepMs(1200);
-    WorkerPatch dummy;
-    (void)net::sendFrame(fd, ipc::kTypeFleetResult,
-                         encodeFleetResult(req.value().epoch, dummy));
-    net::closeSocket(fd);
-    self.closeListener();
-  });
-  Agent good;
-  good.start();
-  // A long backoff holds the reclaimed task pending, so the run is
-  // guaranteed to still be in flight when the duplicate lands.
-  const FleetOutcome fleet = runFleetCase(c, {rogue.spec(), good.spec()},
-                                          /*lease=*/0.4, /*backoffMs=*/2500.0);
-  expectSameRectification(runLocalCase(c), fleet.run);
-  expectOneFailedAttempt(fleet.run.diag, WorkerExitCause::kLeaseExpired);
-  EXPECT_TRUE(hasEvent(fleet.events, "lease-expired"));
-  EXPECT_TRUE(hasEvent(fleet.events, "stale-epoch"));
-}
-
-TEST(FleetEngine, FleetLossDegradesToInProcessExecution) {
-  const EcoCase c = fleetEcoCase(11);
-  // Two endpoints that refuse every connect: bind-and-release ephemeral
-  // ports so nothing is listening there.
-  std::uint16_t p1 = 0, p2 = 0;
-  {
-    Result<int> l1 = net::listenOn(0, &p1);
-    Result<int> l2 = net::listenOn(0, &p2);
-    ASSERT_TRUE(l1.isOk() && l2.isOk());
-    int f1 = l1.take(), f2 = l2.take();
-    net::closeSocket(f1);
-    net::closeSocket(f2);
-  }
-  const FleetOutcome fleet = runFleetCase(
-      c,
-      {"127.0.0.1:" + std::to_string(p1), "127.0.0.1:" + std::to_string(p2)},
-      10.0, 1.0);
-  expectSameRectification(runLocalCase(c), fleet.run);
-  // Connect refusals are the peers' failures, not the tasks': the degraded
-  // run must not charge any output a retry attempt.
-  for (const OutputReport& r : fleet.run.diag.outputs)
-    EXPECT_EQ(r.workerFailedAttempts, 0) << r.output;
-  EXPECT_TRUE(hasEvent(fleet.events, "conn-refused"));
-  EXPECT_TRUE(hasEvent(fleet.events, "worker-dead"));
-  EXPECT_TRUE(hasEvent(fleet.events, "fleet-degraded"));
-}
-
-TEST(FleetOptions, InvalidFleetKnobsAreRejectedNotUndefined) {
-  const EcoCase c = fleetEcoCase(11);
-  const auto rejects = [&](const SysecoOptions& opt, const char* what) {
-    EXPECT_FALSE(runSysecoChecked(c.impl, c.spec, opt).isOk()) << what;
-  };
-  SysecoOptions opt;
-  opt.workers = {"127.0.0.1:9000"};
-  opt.isolate = true;
-  rejects(opt, "workers and isolate together");
-  opt.isolate = false;
-  opt.workers = {"nonsense"};
-  rejects(opt, "unparseable endpoint");
-  opt.workers = {"127.0.0.1:9000"};
-  opt.fleetLeaseSeconds = 0.0;
-  rejects(opt, "zero lease");
-  opt.fleetLeaseSeconds = 10.0;
-  opt.fleetConnectTimeoutMs = 0;
-  rejects(opt, "zero connect timeout");
-  opt.fleetConnectTimeoutMs = 2000;
-  opt.fleetMinWorkers = 0;
-  rejects(opt, "zero min workers");
-}
-
-// --- End-to-end through the CLI binary ------------------------------------
+// --- Dispatch knobs at the CLI surface ---------------------------------------
 
 #ifdef SYSECO_CLI_BIN
 
-class FleetCliTest : public ::testing::Test {
- protected:
-  static std::string dataPath(const char* name) {
-    return std::string(SYSECO_SOURCE_DIR) + "/data/" + name;
-  }
+/// Runs the CLI with `args`, discarding its output; returns the exit code.
+int runCli(const std::string& args) {
+  const std::string cmd =
+      std::string(SYSECO_CLI_BIN) + " " + args + " > /dev/null 2>&1";
+  const int rc = std::system(cmd.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128 + WTERMSIG(rc);
+}
 
-  static std::string testDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "syseco_fleet_" + name;
-    const std::string cmd = "rm -rf '" + dir + "'";
-    [[maybe_unused]] int rc = std::system(cmd.c_str());
-    return dir;
-  }
-
-  static std::string slurp(const std::string& path) {
-    std::ifstream f(path, std::ios::binary);
-    std::ostringstream os;
-    os << f.rdbuf();
-    return os.str();
-  }
-
-  static int runCli(const std::string& env, const std::string& args,
-                    const std::string& logPath) {
-    const std::string cmd = env + (env.empty() ? "" : " ") + SYSECO_CLI_BIN +
-                            " " + args + " > '" + logPath + "' 2>&1";
-    const int rc = std::system(cmd.c_str());
-    if (rc == -1) return -1;
-    return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128 + WTERMSIG(rc);
-  }
-
-  /// Starts a --serve-worker agent process; returns its pid and fills
-  /// `port` from the agent's --port-file once it is listening.
-  static pid_t spawnAgent(const std::string& dir, const std::string& tag,
-                          const std::string& env, int* port) {
-    const std::string portFile = dir + "/" + tag + ".port";
-    const std::string pidFile = dir + "/" + tag + ".pid";
-    const std::string cmd = "sh -c '" + env + (env.empty() ? "" : " ") +
-                            SYSECO_CLI_BIN + " --serve-worker 0 --port-file " +
-                            portFile + " > " + dir + "/" + tag +
-                            ".log 2>&1 & echo $!' > " + pidFile;
-    if (std::system(cmd.c_str()) != 0) return -1;
-    for (int waited = 0; waited < 10000; waited += 50) {
-      const std::string text = slurp(portFile);
-      if (!text.empty() && text.back() == '\n') {
-        *port = std::atoi(text.c_str());
-        return static_cast<pid_t>(std::atol(slurp(pidFile).c_str()));
-      }
-      subprocess::pollReadable({}, 50);
-    }
-    return -1;
-  }
-
-  /// The last journaled verdicts record, raw bytes.
-  static std::string lastVerdicts(const std::string& journalDir) {
-    const std::string data = slurp(journalDir + "/journal.jsonl");
-    const std::size_t at = data.rfind("{\"type\":\"verdicts\"");
-    if (at == std::string::npos) return "";
-    const std::size_t tail = data.find("\"disagreements\":", at);
-    if (tail == std::string::npos) return "";
-    const std::size_t end = data.find('}', tail);
-    if (end == std::string::npos) return "";
-    return data.substr(at, end - at + 1);
-  }
-};
-
-TEST_F(FleetCliTest, VerdictRecordsMatchJobsRunEvenWithAFaultyAgent) {
-  const std::string dir = testDir("verdicts");
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  // Agent 1 truncates every result frame it ever sends; agent 2 is honest.
-  int p1 = 0, p2 = 0;
-  const pid_t a1 = spawnAgent(
-      dir, "a1", "SYSECO_FAULT_INJECT=fleet.agent=net-truncate", &p1);
-  const pid_t a2 = spawnAgent(dir, "a2", "", &p2);
-  ASSERT_GT(a1, 0);
-  ASSERT_GT(a2, 0);
-
-  const std::string pair = "--impl " + dataPath("alu_impl.blif") + " --spec " +
-                           dataPath("alu_spec.blif");
-  const int fleetRc =
-      runCli("", pair + " --workers 127.0.0.1:" + std::to_string(p1) +
-                     ",127.0.0.1:" + std::to_string(p2) + " --journal " + dir +
-                     "/jf --out " + dir + "/fleet.blif",
-             dir + "/fleet.log");
-  const int localRc = runCli("", pair + " --jobs 2 --journal " + dir +
-                                     "/jl --out " + dir + "/local.blif",
-                             dir + "/local.log");
-  ::kill(a1, SIGKILL);
-  ::kill(a2, SIGKILL);
-  ASSERT_EQ(fleetRc, 0) << slurp(dir + "/fleet.log");
-  ASSERT_EQ(localRc, 0) << slurp(dir + "/local.log");
-
-  EXPECT_EQ(slurp(dir + "/fleet.blif"), slurp(dir + "/local.blif"));
-  const std::string vf = lastVerdicts(dir + "/jf");
-  ASSERT_FALSE(vf.empty());
-  EXPECT_EQ(vf, lastVerdicts(dir + "/jl"));
-
-  // The truncation was journaled as a structured fleet record and the
-  // reader recovers it.
-  Result<JournalContents> journal = readJournal(dir + "/jf");
-  ASSERT_TRUE(journal.isOk()) << journal.status().toString();
-  bool sawTruncated = false;
-  for (const JournalFleetEvent& e : journal.value().fleetEvents)
-    if (e.kind == "frame-truncated") sawTruncated = true;
-  EXPECT_TRUE(sawTruncated);
-  // The local run has no fleet and must journal no fleet records.
-  Result<JournalContents> localJournal = readJournal(dir + "/jl");
-  ASSERT_TRUE(localJournal.isOk());
-  EXPECT_TRUE(localJournal.value().fleetEvents.empty());
+TEST(FleetOptions, InvalidFleetKnobsAreRejectedNotUndefined) {
+  // A runnable sweep: without the parse-time checks it would degrade to the
+  // local pool and exit 0, so exit 3 proves each knob was rejected.
+  const std::string dir = uniqueTestDir("fleet", "knobs");
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string data = std::string(SYSECO_SOURCE_DIR) + "/data/";
+  std::ofstream(dir + "/manifest.json")
+      << "{\"cases\": [{\"name\": \"alu\", \"impl\": \"" << data
+      << "alu_impl.blif\", \"spec\": \"" << data << "alu_spec.blif\"}]}\n";
+  const std::string sweep = "--batch '" + dir + "/manifest.json' " +
+                            "--batch-state '" + dir + "/state' ";
+  const std::string batch = sweep + "--workers 127.0.0.1:1 ";
+  EXPECT_EQ(runCli(batch + "--fleet-lease-ms 0"), 3) << "zero lease";
+  EXPECT_EQ(runCli(batch + "--fleet-connect-timeout-ms 0"), 3)
+      << "zero connect timeout";
+  EXPECT_EQ(runCli(batch + "--fleet-min-workers 0"), 3) << "zero min workers";
+  EXPECT_EQ(runCli(batch + "--fleet-min-workers banana"), 3) << "junk value";
+  EXPECT_EQ(runCli(sweep + "--workers ,"), 3) << "empty endpoint list";
+  struct stat st;
+  EXPECT_NE(::stat((dir + "/state").c_str(), &st), 0)
+      << "a rejected option must not start the sweep";
 }
 
 #endif  // SYSECO_CLI_BIN

@@ -25,6 +25,7 @@
 #include "util/fault.hpp"
 #include "util/ipc.hpp"
 #include "util/subprocess.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -408,10 +409,7 @@ class IsolateCliTest : public ::testing::Test {
   }
 
   static std::string testDir(const std::string& name) {
-    const std::string dir = ::testing::TempDir() + "syseco_isolate_" + name;
-    const std::string cmd = "rm -rf '" + dir + "'";
-    [[maybe_unused]] int rc = std::system(cmd.c_str());
-    return dir;
+    return uniqueTestDir("isolate", name);
   }
 
   static std::string slurp(const std::string& path) {
@@ -479,73 +477,109 @@ struct FaultCase {
 };
 
 class IsolateFaultMatrix : public IsolateCliTest,
-                           public ::testing::WithParamInterface<FaultCase> {};
+                           public ::testing::WithParamInterface<FaultCase> {
+ protected:
+  /// Runs the ALU case at --jobs 4 with `transport` ("--isolate" or "" for
+  /// threads), once clean and once with fc.kind injected into the worker of
+  /// the last planned output. Checks that exactly that output is
+  /// quarantined with fc's cause and limit after 2 attempts, and that every
+  /// other output matches the clean run. Returns the victim's normalized
+  /// report entry.
+  static std::string quarantinedEntry(const std::string& dir,
+                                      const FaultCase& fc,
+                                      const std::string& transport) {
+    EXPECT_EQ(::mkdir(dir.c_str(), 0755), 0);
+    const std::string base = "--impl " + dataPath("alu_impl.blif") +
+                             " --spec " + dataPath("alu_spec.blif") +
+                             " --jobs 4 " + transport +
+                             " --isolate-wall-ms 2000"
+                             " --isolate-backoff-ms 1 --isolate-max-attempts 2";
+
+    EXPECT_EQ(runCli("", base + " --report " + dir + "/ref.json",
+                     dir + "/ref.log"),
+              0);
+
+    // Inject on the last planned output so every other output has committed
+    // by the time the fault fires - those must stay bit-identical.
+    const std::string ref = slurp(dir + "/ref.json");
+    const std::size_t lastEntry = ref.rfind("{\"output\": ");
+    if (lastEntry == std::string::npos) {
+      ADD_FAILURE() << "no output entries in " << ref;
+      return "";
+    }
+    const std::size_t idBegin = lastEntry + 11;
+    const std::uint32_t victim = static_cast<std::uint32_t>(
+        std::strtoul(ref.c_str() + idBegin, nullptr, 10));
+
+    const std::string env = "SYSECO_FAULT_INJECT='isolate.worker.o" +
+                            std::to_string(victim) + "=" + fc.kind + "'";
+    EXPECT_EQ(runCli(env, base + " --report " + dir + "/fault.json",
+                     dir + "/fault.log"),
+              4)
+        << slurp(dir + "/fault.log");
+
+    const std::string report = slurp(dir + "/fault.json");
+    const std::string victimKey =
+        "{\"output\": " + std::to_string(victim) + ",";
+    // The oracle section also carries per-output entries; the run report
+    // array is the *last* "outputs" key in the document.
+    const std::size_t outputsArr = report.rfind("\"outputs\": [");
+    const std::size_t at = outputsArr == std::string::npos
+                               ? std::string::npos
+                               : report.find(victimKey, outputsArr);
+    if (at == std::string::npos) {
+      ADD_FAILURE() << "victim " << victim << " not reported: " << report;
+      return "";
+    }
+    const std::size_t end = report.find('}', at);
+    const std::string entry = report.substr(at, end - at + 1);
+    EXPECT_NE(entry.find("\"status\": \"fallback\""), std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find(std::string("\"exit_cause\": \"") + fc.wantCause),
+              std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find(std::string("\"limit\": \"") + fc.wantLimit),
+              std::string::npos)
+        << entry;
+    EXPECT_NE(entry.find("\"attempts\": 2"), std::string::npos) << entry;
+
+    // Every other output must be bit-identical to the uninjected run.
+    std::istringstream refIn(normalizeReport(ref));
+    std::istringstream gotIn(normalizeReport(report));
+    std::string refLine, gotLine;
+    while (std::getline(refIn, refLine) && std::getline(gotIn, gotLine)) {
+      if (refLine.find(victimKey) != std::string::npos) continue;
+      if (refLine.find("\"degraded\"") != std::string::npos) continue;
+      if (refLine.find("\"exit_code\"") != std::string::npos) continue;
+      if (refLine.find("\"run_limit\"") != std::string::npos) continue;
+      if (refLine.find("\"patch\"") != std::string::npos) continue;
+      if (refLine.find("\"budget\"") != std::string::npos) continue;
+      // The quarantined output falls back to a cone clone whose shape the
+      // ISOP minimizer may compress, so the global sweep stats differ.
+      if (refLine.find("\"sweep\"") != std::string::npos) continue;
+      EXPECT_EQ(gotLine, refLine);
+    }
+    return normalizeReport(entry);
+  }
+};
 
 TEST_P(IsolateFaultMatrix, InjectedFaultQuarantinesExactlyOneOutput) {
   const FaultCase fc = GetParam();
-  const std::string dir = testDir(std::string("fault_") + fc.kind);
-  ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  const std::string base = "--impl " + dataPath("alu_impl.blif") +
-                           " --spec " + dataPath("alu_spec.blif") +
-                           " --jobs 4 --isolate --isolate-wall-ms 2000"
-                           " --isolate-backoff-ms 1 --isolate-max-attempts 2";
+  quarantinedEntry(testDir(std::string("fault_") + fc.kind), fc, "--isolate");
+}
 
-  ASSERT_EQ(runCli("", base + " --report " + dir + "/ref.json",
-                   dir + "/ref.log"),
-            0);
+// One failure policy for both transports: a thread worker fires the same
+// worker fault sites, and its failed attempts go through the same retry,
+// backoff and quarantine path as a forked worker's.
+using IsolateTransportParity = IsolateFaultMatrix;
 
-  // Inject on the last planned output so every other output has committed
-  // by the time the fault fires - those must stay bit-identical.
-  const std::string ref = slurp(dir + "/ref.json");
-  const std::size_t lastEntry = ref.rfind("{\"output\": ");
-  ASSERT_NE(lastEntry, std::string::npos);
-  const std::size_t idBegin = lastEntry + 11;
-  const std::uint32_t victim = static_cast<std::uint32_t>(
-      std::strtoul(ref.c_str() + idBegin, nullptr, 10));
-
-  const std::string env = "SYSECO_FAULT_INJECT='isolate.worker.o" +
-                          std::to_string(victim) + "=" + fc.kind + "'";
-  ASSERT_EQ(runCli(env, base + " --report " + dir + "/fault.json",
-                   dir + "/fault.log"),
-            4)
-      << slurp(dir + "/fault.log");
-
-  const std::string report = slurp(dir + "/fault.json");
-  const std::string victimKey = "{\"output\": " + std::to_string(victim) + ",";
-  // The oracle section also carries per-output entries; the run report
-  // array is the *last* "outputs" key in the document.
-  const std::size_t outputsArr = report.rfind("\"outputs\": [");
-  ASSERT_NE(outputsArr, std::string::npos);
-  const std::size_t at = report.find(victimKey, outputsArr);
-  ASSERT_NE(at, std::string::npos) << report;
-  const std::size_t end = report.find('}', at);
-  const std::string entry = report.substr(at, end - at + 1);
-  EXPECT_NE(entry.find("\"status\": \"fallback\""), std::string::npos)
-      << entry;
-  EXPECT_NE(entry.find(std::string("\"exit_cause\": \"") + fc.wantCause),
-            std::string::npos)
-      << entry;
-  EXPECT_NE(entry.find(std::string("\"limit\": \"") + fc.wantLimit),
-            std::string::npos)
-      << entry;
-  EXPECT_NE(entry.find("\"attempts\": 2"), std::string::npos) << entry;
-
-  // Every other output must be bit-identical to the uninjected run.
-  std::istringstream refIn(normalizeReport(ref));
-  std::istringstream gotIn(normalizeReport(report));
-  std::string refLine, gotLine;
-  while (std::getline(refIn, refLine) && std::getline(gotIn, gotLine)) {
-    if (refLine.find(victimKey) != std::string::npos) continue;
-    if (refLine.find("\"degraded\"") != std::string::npos) continue;
-    if (refLine.find("\"exit_code\"") != std::string::npos) continue;
-    if (refLine.find("\"run_limit\"") != std::string::npos) continue;
-    if (refLine.find("\"patch\"") != std::string::npos) continue;
-    if (refLine.find("\"budget\"") != std::string::npos) continue;
-    // The quarantined output falls back to a cone clone whose shape the
-    // ISOP minimizer may compress, so the global sweep stats differ.
-    if (refLine.find("\"sweep\"") != std::string::npos) continue;
-    EXPECT_EQ(gotLine, refLine);
-  }
+TEST_F(IsolateTransportParity,
+       OomQuarantinesTheSameOutputUnderThreadsAndFork) {
+  const FaultCase oom{"oom", "oom", "budget-exhausted"};
+  const std::string forked = quarantinedEntry(testDir("fork"), oom, "--isolate");
+  const std::string threads = quarantinedEntry(testDir("threads"), oom, "");
+  EXPECT_FALSE(forked.empty());
+  EXPECT_EQ(forked, threads);
 }
 
 INSTANTIATE_TEST_SUITE_P(

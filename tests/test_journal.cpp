@@ -26,6 +26,7 @@
 #include "util/fault.hpp"
 #include "util/journal.hpp"
 #include "util/rng.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -35,10 +36,7 @@ namespace syseco {
 namespace {
 
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_journal_" + name;
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("journal", name);
 }
 
 std::string slurp(const std::string& path) {
@@ -75,9 +73,11 @@ TEST(AtomicFile, WritesAndReplacesWithoutTornContent) {
   EXPECT_EQ(slurp(path), "second, longer content\n");
 
   // No temporary siblings left behind.
-  std::string cmd = "ls '" + dir + "'/*.tmp.* 2>/dev/null | wc -l > /tmp/syseco_tmpcount";
+  const std::string countFile = dir + "/tmpcount";
+  std::string cmd = "ls '" + dir + "'/*.tmp.* 2>/dev/null | wc -l > '" +
+                    countFile + "'";
   ASSERT_EQ(std::system(cmd.c_str()), 0);
-  EXPECT_EQ(slurp("/tmp/syseco_tmpcount"), "0\n");
+  EXPECT_EQ(slurp(countFile), "0\n");
 }
 
 TEST(AtomicFile, FailsCleanlyOnUnwritableDirectory) {

@@ -21,6 +21,7 @@
 #include "io/journal_io.hpp"
 #include "util/fault.hpp"
 #include "util/journal.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -30,10 +31,7 @@ namespace syseco {
 namespace {
 
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_resume_" + name;
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("resume", name);
 }
 
 std::string slurp(const std::string& path) {

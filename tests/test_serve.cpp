@@ -28,6 +28,7 @@
 #include "serve/watchdog.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -44,10 +45,7 @@ std::string slurp(const std::string& path) {
 }
 
 std::string freshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_serve_" + name;
-  const std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("serve", name);
 }
 
 std::string dataPath(const char* name) {

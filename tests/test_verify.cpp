@@ -28,6 +28,7 @@
 #include "verify/audit.hpp"
 #include "verify/oracle.hpp"
 #include "verify/repro.hpp"
+#include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
 #define SYSECO_SOURCE_DIR "."
@@ -37,10 +38,7 @@ namespace syseco {
 namespace {
 
 std::string testDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "syseco_verify_" + name;
-  std::string cmd = "rm -rf '" + dir + "'";
-  [[maybe_unused]] int rc = std::system(cmd.c_str());
-  return dir;
+  return uniqueTestDir("verify", name);
 }
 
 std::string slurp(const std::string& path) {
