@@ -153,12 +153,11 @@ std::string waitPort(const std::string& portFile, double deadlineSeconds) {
 /// The storage sites a schedule for `mode` may target. Daemon modes stay
 /// off atomic.* (the port-file write shares that site - faulting it would
 /// test the harness's patience, not the WAL) and engine modes off the
-/// serve WALs they never touch. repro.* only fires on oracle
+/// queue WAL they never touch. repro.* only fires on oracle
 /// disagreements, which a clean reference case never produces.
 std::vector<syseco::fault::FaultSite> sitesForMode(const std::string& mode) {
   std::vector<std::string> prefixes;
-  if (mode == "serve") prefixes = {"queue.wal."};
-  else if (mode == "batch") prefixes = {"ledger.wal."};
+  if (mode == "serve" || mode == "batch") prefixes = {"queue.wal."};
   else prefixes = {"journal.", "atomic."};
   std::vector<syseco::fault::FaultSite> out;
   for (const syseco::fault::FaultSite& s : syseco::fault::storageFaultSites())
@@ -364,8 +363,8 @@ void runBatchSchedule(const Context& ctx, PoolWatchdog& dog,
     vio->push_back("healed sweep failed (" + describe(healed) + ")");
     return;
   }
-  checkHealedArtifacts(ctx, state + "/cases/c1/journal",
-                       state + "/cases/c1/out.blif", vio);
+  checkHealedArtifacts(ctx, state + "/jobs/c1/journal",
+                       state + "/jobs/c1/out.blif", vio);
 
   std::vector<std::string> leaks;
   findStaging(state, &leaks);
@@ -428,9 +427,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  PoolWatchdog::Options dogOpt;
-  dogOpt.poolSize = 8;
-  PoolWatchdog dog(dogOpt);
+  PoolWatchdog dog(8);
 
   // Fault-free reference: one local run defines the verdict record and
   // rectified netlist every healed schedule must reproduce byte-for-byte.

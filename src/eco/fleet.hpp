@@ -1,7 +1,7 @@
 #pragma once
 // The --serve-worker agent: the remote half of whole-case dispatch (the
-// supervisor half is serve/batch.cpp's CaseDispatcher, driven by --batch
-// and the --serve daemon).
+// supervisor half is serve/scheduler.cpp's CaseDispatcher, driven by
+// --batch and the --serve daemon).
 //
 // An agent listens on a TCP port and serves one supervisor connection at a
 // time. Over that connection it receives SEF1-framed whole-case tasks

@@ -364,8 +364,7 @@ bool getU64String(const JsonValue& obj, const std::string& key,
 }  // namespace
 
 std::string encodeFleetCase(const Netlist& base, const Netlist& spec,
-                            const SysecoOptions& options,
-                            const std::vector<std::uint32_t>& protect) {
+                            const SysecoOptions& options) {
   std::ostringstream os;
   os << "{\"impl\":\"" << jsonEscape(base.dumpRawString()) << "\",\"spec\":\""
      << jsonEscape(spec.dumpRawString()) << "\",\"options\":{"
@@ -387,10 +386,7 @@ std::string encodeFleetCase(const Netlist& base, const Netlist& spec,
      << ",\"level\":" << (options.levelDriven ? "true" : "false")
      << ",\"seed\":";
   putU64String(os, options.seed);
-  os << "},\"protect\":[";
-  for (std::size_t i = 0; i < protect.size(); ++i)
-    os << (i ? "," : "") << protect[i];
-  os << "]}";
+  os << "}}";
   return os.str();
 }
 
@@ -448,18 +444,6 @@ Result<FleetCase> decodeFleetCase(std::string_view payload) {
   if (const Status s = validateSysecoOptions(o); !s.isOk())
     return badFleet("options rejected: " + s.message());
 
-  const JsonValue* protect = v.find("protect");
-  if (!protect || protect->kind != JsonValue::Kind::Array)
-    return badFleet("missing protect array");
-  if (protect->items.size() > static_cast<std::size_t>(kMaxSmallCount))
-    return badFleet("absurd protect count");
-  out.protect.reserve(protect->items.size());
-  for (const JsonValue& item : protect->items) {
-    std::uint32_t idx = 0;
-    if (!elemU32(item, &idx) || idx >= base.value().numOutputs())
-      return badFleet("protect entry out of range");
-    out.protect.push_back(idx);
-  }
   out.base = base.take();
   out.spec = spec.take();
   return out;

@@ -78,7 +78,7 @@ Result<WorkerPatch> decodeWorkerPatch(std::string_view payload,
 //
 // Whole-case dispatch reuses this codec family: a one-time case-upload
 // payload (the base and spec snapshots plus the exact search-shaping
-// options and a protect list), content-addressed by crc32, and epoch-
+// options), content-addressed by crc32, and epoch-
 // stamped need-case / heartbeat / failure envelopes so the dispatcher can
 // reject duplicates from reassigned cases.
 
@@ -88,16 +88,13 @@ struct FleetCase {
   Netlist base;
   Netlist spec;
   SysecoOptions options;  ///< sanitized worker options (search-shaping only)
-  std::vector<std::uint32_t> protect;  ///< plan order / protect set
 };
 
 std::string encodeFleetCase(const Netlist& base, const Netlist& spec,
-                            const SysecoOptions& options,
-                            const std::vector<std::uint32_t>& protect);
+                            const SysecoOptions& options);
 
 /// Hardened decode: both netlist snapshots re-validated by the raw-restore
-/// parser, options re-validated by validateSysecoOptions, protect entries
-/// bounded by the base output count.
+/// parser, options re-validated by validateSysecoOptions.
 Result<FleetCase> decodeFleetCase(std::string_view payload);
 
 /// Agent -> supervisor need-case and heartbeat payloads.

@@ -124,15 +124,19 @@ struct JournalVerdicts {
   std::uint64_t disagreements = 0;
 };
 
-/// One durable state transition of the --serve daemon's job queue (the
-/// serve WAL reuses the util/journal framing but lives in its own
-/// directory, so these records never mix with an engine run journal).
-/// Engine-type-free: src/serve owns the semantics.
+/// One durable state transition of the case queue shared by the --serve
+/// daemon and --batch sweeps (the queue WAL reuses the util/journal framing
+/// but lives in its own directory, so these records never mix with an
+/// engine run journal). Engine-type-free: src/serve owns the semantics.
 struct JournalServeEvent {
   std::string event;   ///< submitted|running|done|failed|cancelled|recovered|note
-  std::string job;     ///< daemon-assigned job id; empty for daemon-wide notes
+  std::string job;     ///< job id (batch: manifest name); empty for notes
   std::string tenant;
   std::string format;  ///< netlist text format of the job's payloads
+  /// Manifest input paths of a batch case; empty for a daemon job, whose
+  /// inputs are the submitted copies in its job directory.
+  std::string impl;
+  std::string spec;
   std::uint64_t seed = 0;
   std::int64_t jobs = 1;        ///< worker threads requested for the job
   bool detach = false;          ///< survives the submitting connection
@@ -143,44 +147,20 @@ struct JournalServeEvent {
   std::string cause;            ///< failure/cancel classification
   std::string detail;
   std::string faultInject;      ///< test hook carried into the job's worker
-};
-
-std::string serializeServeEvent(const JournalServeEvent& r);
-
-/// Parses one serve WAL payload (a single JSON object with type "serve").
-/// Hardened like the rest of the journal parsers: arbitrary bytes yield
-/// kInvalidInput, never UB.
-Result<JournalServeEvent> parseServeEvent(std::string_view payload);
-
-/// One durable state transition of a --batch sweep's case ledger (the batch
-/// WAL: same framing and fold-on-open recovery style as the serve WAL, its
-/// own directory). Engine-type-free: src/serve/batch_ledger owns the
-/// semantics.
-struct JournalBatchEvent {
-  std::string event;  ///< registered|dispatched|done|failed|requeued|note
-  std::string name;   ///< manifest case name; empty for batch-wide notes
-  std::string impl;   ///< manifest paths (registered only, else empty)
-  std::string spec;
-  std::uint64_t seed = 0;
-  std::int64_t jobs = 1;      ///< per-case worker threads (--jobs)
-  std::string worker;         ///< "host:port" for dispatched; "" for local
-  std::uint64_t epoch = 0;    ///< fleet assignment epoch for dispatched
-  std::int64_t attempt = 0;   ///< dispatch ordinal
-  std::int64_t exitCode = 0;  ///< engine exit classification for done
-  std::string cause;          ///< failure classification
-  std::string detail;
-  /// Agent CaseCacheLru counters snapshotted at case completion (done
-  /// events from remote dispatch; zero for local fallback runs).
+  std::string worker;           ///< agent "host:port"; "" for the local pool
+  /// Agent CaseCacheLru counters snapshotted at completion (done events of
+  /// remote runs; zero for local ones).
   std::uint64_t cacheHits = 0;
   std::uint64_t cacheMisses = 0;
   std::uint64_t cacheEvictions = 0;
 };
 
-std::string serializeBatchEvent(const JournalBatchEvent& r);
+std::string serializeServeEvent(const JournalServeEvent& r);
 
-/// Parses one batch WAL payload (a single JSON object with type "batch").
-/// Hardened like the rest of the journal parsers.
-Result<JournalBatchEvent> parseBatchEvent(std::string_view payload);
+/// Parses one queue WAL payload (a single JSON object with type "serve").
+/// Hardened like the rest of the journal parsers: arbitrary bytes yield
+/// kInvalidInput, never UB.
+Result<JournalServeEvent> parseServeEvent(std::string_view payload);
 
 /// Every intelligible record recovered from a journal directory.
 struct JournalContents {

@@ -30,46 +30,55 @@ std::string formatExtension(const std::string& format) {
   return ".netlist";
 }
 
-/// Folds one WAL record into the job map. Unknown events are skipped (a
-/// newer daemon's WAL degrades to what this one understands).
-void foldEvent(const JournalServeEvent& ev,
-               std::map<std::string, Job>& jobs) {
+/// Folds one WAL record into the job list (first submission order).
+/// Unknown events are skipped (a newer driver's WAL degrades to what this
+/// one understands).
+void foldEvent(const JournalServeEvent& ev, std::vector<Job>& jobs,
+               std::map<std::string, std::size_t>& index) {
   if (ev.event == "note" || ev.job.empty()) return;
+  auto it = index.find(ev.job);
   if (ev.event == "submitted") {
+    if (it != index.end()) return;  // duplicate submit: first one wins
     Job j;
     j.id = ev.job;
     j.tenant = ev.tenant;
     j.format = ev.format.empty() ? "blif" : ev.format;
+    j.implPath = ev.impl;
+    j.specPath = ev.spec;
     j.seed = ev.seed;
     j.jobs = ev.jobs;
     j.isolate = ev.isolate;
     j.detach = ev.detach;
     j.faultInject = ev.faultInject;
     j.bytes = ev.bytes;
-    jobs[ev.job] = std::move(j);
+    index[ev.job] = jobs.size();
+    jobs.push_back(std::move(j));
     return;
   }
-  auto it = jobs.find(ev.job);
-  if (it == jobs.end()) return;  // transition without a submit: dropped frame
-  Job& j = it->second;
+  if (it == index.end()) return;  // transition without a submit: dropped
+  Job& j = jobs[it->second];
   if (ev.event == "running") {
     j.state = QueueState::kRunning;
     j.attempt = ev.attempt;
+    j.worker = ev.worker;
   } else if (ev.event == "recovered") {
     j.state = QueueState::kQueued;
     j.resume = true;
     j.attempt = ev.attempt;
+    j.cause = ev.cause;
+    j.detail = ev.detail;
   } else if (ev.event == "done") {
     j.state = QueueState::kDone;
     j.exitCode = ev.exitCode;
-    j.cause = ev.cause;
-    j.detail = ev.detail;
-  } else if (ev.event == "failed") {
-    j.state = QueueState::kFailed;
-    j.cause = ev.cause;
-    j.detail = ev.detail;
-  } else if (ev.event == "cancelled") {
-    j.state = QueueState::kCancelled;
+    j.worker = ev.worker;
+    j.cacheHits = ev.cacheHits;
+    j.cacheMisses = ev.cacheMisses;
+    j.cacheEvictions = ev.cacheEvictions;
+    j.cause.clear();
+    j.detail.clear();
+  } else if (ev.event == "failed" || ev.event == "cancelled") {
+    j.state = ev.event == "failed" ? QueueState::kFailed
+                                   : QueueState::kCancelled;
     j.cause = ev.cause;
     j.detail = ev.detail;
   }
@@ -81,6 +90,8 @@ JournalServeEvent eventFor(const std::string& event, const Job& job) {
   ev.job = job.id;
   ev.tenant = job.tenant;
   ev.format = job.format;
+  ev.impl = job.implPath;
+  ev.spec = job.specPath;
   ev.seed = job.seed;
   ev.jobs = job.jobs;
   ev.detach = job.detach;
@@ -91,6 +102,10 @@ JournalServeEvent eventFor(const std::string& event, const Job& job) {
   ev.cause = job.cause;
   ev.detail = job.detail;
   ev.faultInject = job.faultInject;
+  ev.worker = job.worker;
+  ev.cacheHits = job.cacheHits;
+  ev.cacheMisses = job.cacheMisses;
+  ev.cacheEvictions = job.cacheEvictions;
   return ev;
 }
 
@@ -104,6 +119,14 @@ std::uint64_t numericSuffix(const std::string& id) {
 }
 
 }  // namespace
+
+std::string netlistFormatOf(const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos || path.find('/', dot) != std::string::npos)
+    return "netlist";
+  const std::string ext = path.substr(dot + 1);
+  return ext == "blif" || ext == "v" ? ext : "netlist";
+}
 
 const char* queueStateName(QueueState s) {
   switch (s) {
@@ -127,7 +150,8 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
   // dropped (with diagnostics) by the framing layer.
   Result<JournalScan> scan = scanJournal(stateDir + kQueueSubdir);
   if (!scan.isOk()) return scan.status();
-  std::map<std::string, Job> folded;
+  std::vector<Job> folded;
+  std::map<std::string, std::size_t> index;
   std::size_t droppedPayloads = 0;
   for (const JournalFrame& frame : scan.value().frames) {
     Result<JournalServeEvent> ev = parseServeEvent(frame.payload);
@@ -135,7 +159,7 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
       ++droppedPayloads;
       continue;
     }
-    foldEvent(ev.value(), folded);
+    foldEvent(ev.value(), folded, index);
   }
   for (const std::string& d : scan.value().diagnostics)
     q.recoveryNotes_.push_back("queue WAL: " + d);
@@ -144,10 +168,12 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
                                std::to_string(droppedPayloads) +
                                " unparseable record(s)");
 
-  // Jobs that were mid-run when the daemon died come back queued with the
+  // Jobs that were mid-run when the driver died come back queued with the
   // resume flag: their engine journals hold every committed checkpoint,
-  // and --resume re-certifies and continues from there.
-  for (auto& [id, job] : folded) {
+  // and --resume re-certifies and continues from there (a remote run
+  // leaves no local journal, and --resume over none simply runs fresh).
+  for (Job& job : folded) {
+    const std::string& id = job.id;
     if (job.state == QueueState::kRunning) {
       job.state = QueueState::kQueued;
       job.resume = true;
@@ -166,14 +192,14 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
   // chaos harness can treat a surviving one as a leak).
   removeStaleStaging(stateDir);
   removeStaleStaging(stateDir + "/jobs");
-  for (const auto& [id, job] : folded) removeStaleStaging(q.jobDir(id));
+  for (const Job& job : folded) removeStaleStaging(q.jobDir(job.id));
 
   // Compact: rewrite the WAL from the folded state so its length tracks
-  // queue occupancy, not daemon lifetime. The rewrite is staged and
+  // the job count, not driver lifetime. The rewrite is staged and
   // renamed (createCompacted), so a kill at any instant leaves either the
   // complete old WAL or the complete new one - never a truncated mix.
   std::vector<std::string> compacted;
-  for (auto& [id, job] : folded) {
+  for (Job& job : folded) {
     compacted.push_back(serializeServeEvent(eventFor("submitted", job)));
     const char* transition = nullptr;
     switch (job.state) {
@@ -187,17 +213,13 @@ Result<JobQueue> JobQueue::open(const std::string& stateDir) {
     }
     if (transition != nullptr)
       compacted.push_back(serializeServeEvent(eventFor(transition, job)));
-    q.nextId_ = std::max(q.nextId_, numericSuffix(id) + 1);
+    q.nextId_ = std::max(q.nextId_, numericSuffix(job.id) + 1);
     q.jobs_.push_back(std::make_unique<Job>(std::move(job)));
   }
   Result<JournalWriter> wal = JournalWriter::createCompacted(
       stateDir + kQueueSubdir, compacted, "queue.wal");
   if (!wal.isOk()) return wal.status();
   q.wal_ = wal.take();
-  std::sort(q.jobs_.begin(), q.jobs_.end(),
-            [](const std::unique_ptr<Job>& a, const std::unique_ptr<Job>& b) {
-              return numericSuffix(a->id) < numericSuffix(b->id);
-            });
   return q;
 }
 
@@ -252,10 +274,37 @@ Result<Job*> JobQueue::submit(const SubmitRequest& request) {
     return s;
   if (Status s = writeFileAtomic(specPath(job), request.specText); !s.isOk())
     return s;
-  if (Status s = wal_.append(serializeServeEvent(eventFor("submitted", job)));
-      !s.isOk())
-    return s;
-  ++nextId_;
+  Result<Job*> added = add(std::move(job));
+  if (added.isOk()) ++nextId_;
+  return added;
+}
+
+Result<Job*> JobQueue::registerCase(const std::string& name,
+                                    const std::string& implPath,
+                                    const std::string& specPath,
+                                    std::uint64_t seed, std::int64_t jobs) {
+  if (Job* existing = find(name)) {
+    if (existing->implPath != implPath || existing->specPath != specPath ||
+        existing->seed != seed || existing->jobs != jobs)
+      return Status::invalidInput(
+          "case '" + name +
+          "' already in the queue with different inputs; refusing to "
+          "resume a different manifest");
+    return existing;
+  }
+  Job job;
+  job.id = name;
+  job.format = netlistFormatOf(implPath);
+  job.implPath = implPath;
+  job.specPath = specPath;
+  job.seed = seed;
+  job.jobs = jobs;
+  if (Status s = ensureDir(jobDir(name)); !s.isOk()) return s;
+  return add(std::move(job));
+}
+
+Result<Job*> JobQueue::add(Job job) {
+  if (Status s = appendEvent("submitted", job); !s.isOk()) return s;
   jobs_.push_back(std::make_unique<Job>(std::move(job)));
   return jobs_.back().get();
 }
@@ -283,63 +332,61 @@ Status JobQueue::appendEvent(const std::string& event, const Job& job) {
   return wal_.append(serializeServeEvent(eventFor(event, job)));
 }
 
-Status JobQueue::markRunning(Job& job, std::int64_t attempt) {
-  Job next = job;
-  next.attempt = attempt;
-  if (Status s = appendEvent("running", next); !s.isOk()) return s;
-  job.state = QueueState::kRunning;
-  job.attempt = attempt;
+Status JobQueue::commit(const std::string& event, Job& job, Job next) {
+  if (Status s = appendEvent(event, next); !s.isOk()) return s;
+  job = std::move(next);
   return Status::ok();
 }
 
-Status JobQueue::markDone(Job& job, std::int64_t exitCode) {
+Status JobQueue::markRunning(Job& job, std::int64_t attempt,
+                             const std::string& worker) {
   Job next = job;
+  next.state = QueueState::kRunning;
+  next.attempt = attempt;
+  next.worker = worker;
+  return commit("running", job, std::move(next));
+}
+
+Status JobQueue::markDone(Job& job, std::int64_t exitCode,
+                          std::uint64_t cacheHits, std::uint64_t cacheMisses,
+                          std::uint64_t cacheEvictions) {
+  Job next = job;
+  next.state = QueueState::kDone;
   next.exitCode = exitCode;
+  next.cacheHits = cacheHits;
+  next.cacheMisses = cacheMisses;
+  next.cacheEvictions = cacheEvictions;
   next.cause.clear();
   next.detail.clear();
-  if (Status s = appendEvent("done", next); !s.isOk()) return s;
-  job.state = QueueState::kDone;
-  job.exitCode = exitCode;
-  job.cause.clear();
-  job.detail.clear();
-  return Status::ok();
+  return commit("done", job, std::move(next));
 }
 
 Status JobQueue::markFailed(Job& job, const std::string& cause,
                             const std::string& detail) {
   Job next = job;
+  next.state = QueueState::kFailed;
   next.cause = cause;
   next.detail = detail;
-  if (Status s = appendEvent("failed", next); !s.isOk()) return s;
-  job.state = QueueState::kFailed;
-  job.cause = cause;
-  job.detail = detail;
-  return Status::ok();
+  return commit("failed", job, std::move(next));
 }
 
 Status JobQueue::markCancelled(Job& job, const std::string& cause,
                                const std::string& detail) {
   Job next = job;
+  next.state = QueueState::kCancelled;
   next.cause = cause;
   next.detail = detail;
-  if (Status s = appendEvent("cancelled", next); !s.isOk()) return s;
-  job.state = QueueState::kCancelled;
-  job.cause = cause;
-  job.detail = detail;
-  return Status::ok();
+  return commit("cancelled", job, std::move(next));
 }
 
 Status JobQueue::markRequeued(Job& job, const std::string& cause,
                               const std::string& detail) {
   Job next = job;
+  next.state = QueueState::kQueued;
+  next.resume = true;
   next.cause = cause;
   next.detail = detail;
-  if (Status s = appendEvent("recovered", next); !s.isOk()) return s;
-  job.state = QueueState::kQueued;
-  job.resume = true;
-  job.cause = cause;
-  job.detail = detail;
-  return Status::ok();
+  return commit("recovered", job, std::move(next));
 }
 
 Status JobQueue::note(const std::string& detail) {
@@ -378,10 +425,12 @@ std::string JobQueue::jobDir(const std::string& id) const {
 }
 
 std::string JobQueue::implPath(const Job& job) const {
+  if (!job.implPath.empty()) return job.implPath;
   return jobDir(job.id) + "/impl" + formatExtension(job.format);
 }
 
 std::string JobQueue::specPath(const Job& job) const {
+  if (!job.specPath.empty()) return job.specPath;
   return jobDir(job.id) + "/spec" + formatExtension(job.format);
 }
 
@@ -395,6 +444,10 @@ std::string JobQueue::reportPath(const Job& job) const {
 
 std::string JobQueue::outPath(const Job& job) const {
   return jobDir(job.id) + "/out" + formatExtension(job.format);
+}
+
+std::string JobQueue::verdictsPath(const Job& job) const {
+  return jobDir(job.id) + "/verdicts.txt";
 }
 
 std::string JobQueue::workerLogPath(const Job& job) const {

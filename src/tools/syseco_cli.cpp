@@ -81,22 +81,25 @@
 //                       jobs                                  (default 16)
 //   --serve-max-tenant N   daemon: per-tenant resident-job cap (default 8)
 //   --serve-max-bytes-mb N daemon: resident payload watermark (default 256)
-//   --serve-attempts N  daemon: worker deaths per job before quarantine
-//                       (default 3)
+//   --serve-attempts N  daemon/batch: failed dispatches per job before
+//                       quarantine (default 3); a refused agent
+//                       connection never counts
 //                       With --workers, the daemon also dispatches whole
-//                       queued jobs to --serve-worker agents (case upload +
-//                       lease + epoch protocol); when the usable fleet
+//                       queued jobs to --serve-worker agents (an idle
+//                       agent first, else an idle local slot; case upload
+//                       + lease + epoch protocol); when the usable fleet
 //                       shrinks below --fleet-min-workers it degrades to
 //                       the local pool.
 //   --batch MANIFEST    sweep mode: run every case of a JSON manifest
 //                       ({"cases":[{"name","impl","spec"[,"seed"][,"jobs"]}
-//                       ...]}) through a WAL-backed case ledger. Cases are
-//                       dispatched whole to --workers agents (or the local
-//                       pool), retried with deterministic backoff, and
-//                       quarantined past --serve-attempts. kill -9 of the
-//                       driver resumes with --resume DIR, draining to
-//                       verdicts bit-identical to serial local runs.
-//   --batch-state DIR   batch: fresh sweep state directory (ledger WAL +
+//                       ...]}) through the daemon's WAL-backed job queue
+//                       and scheduler. Cases are dispatched whole to
+//                       --workers agents (or the local pool), retried with
+//                       deterministic backoff, and quarantined past
+//                       --serve-attempts. kill -9 of the driver resumes
+//                       with --resume DIR, draining to verdicts
+//                       bit-identical to serial local runs.
+//   --batch-state DIR   batch: fresh sweep state directory (queue WAL +
 //                       per-case artifacts); refuses a dir that already
 //                       holds a sweep (use --resume DIR for that)
 //   --connect HOST:PORT client mode: submit --impl/--spec as a job to a
@@ -680,9 +683,9 @@ int main(int argc, char** argv) {
     so.maxAttempts = serveAttempts;
     so.backoffBaseMs = opt.isolateBackoffMs;
     so.workers = workers;
-    so.fleetLeaseSeconds = fleetLeaseSeconds;
-    so.fleetConnectTimeoutMs = fleetConnectTimeoutMs;
-    so.fleetMinWorkers = fleetMinWorkers;
+    so.leaseSeconds = fleetLeaseSeconds;
+    so.connectTimeoutMs = fleetConnectTimeoutMs;
+    so.minWorkers = fleetMinWorkers;
     so.verbose = opt.verbose;
     so.stop = &gAgentStop;
     if (!portFilePath.empty()) so.boundHook = portFileHook(portFilePath);
@@ -697,7 +700,7 @@ int main(int argc, char** argv) {
   }
   if (!batchManifest.empty()) {
     // Batch-sweep mode: drive a manifest of whole cases through the
-    // WAL-backed batch ledger - remote over --workers agents while the
+    // WAL-backed job queue - remote over --workers agents while the
     // fleet is healthy, a local watchdog pool otherwise. SIGKILL-safe:
     // re-run with --resume to drain the same sweep to identical verdicts.
     if (!batchStateDir.empty() && !resumeDir.empty()) {

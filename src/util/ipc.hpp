@@ -52,7 +52,7 @@ inline constexpr std::uint32_t kTypeServeRejected = 11;  ///< daemon -> client
 inline constexpr std::uint32_t kTypeServeStatus = 12;    ///< client -> daemon
 inline constexpr std::uint32_t kTypeServeJobState = 13;  ///< daemon -> client
 inline constexpr std::uint32_t kTypeServeCancel = 14;    ///< client -> daemon
-// Whole-case batch fan-out (src/serve/batch.hpp): the supervisor dispatches
+// Whole-case dispatch (src/serve/scheduler.hpp): the supervisor dispatches
 // an entire rectification case to an agent; the agent streams heartbeats and
 // answers with one epoch-stamped result envelope carrying the full report
 // JSON, verdict records and the patched netlist.

@@ -1,32 +1,31 @@
 // Whole-case batch fan-out: the case-dispatch wire codecs (task envelopes
 // and whole-case result envelopes with their embedded report/verdicts/
-// netlist texts), the batch manifest parser, the WAL-backed batch ledger's
-// fold-on-open crash recovery, the deterministic case-redispatch backoff
-// (pinned to the per-output transports' retryBackoffSeconds contract), and
-// runBatch end to end over real in-thread agents - remote and degraded-
-// local sweeps of the same manifest must drain to bit-identical artifacts.
+// netlist texts), the batch manifest parser, the queue WAL record of a
+// batch case, the deterministic case-redispatch backoff (pinned to the
+// per-output transports' retryBackoffSeconds contract), and runBatch end
+// to end over real in-thread agents - remote and degraded-local sweeps of
+// the same manifest must drain to bit-identical artifacts. The sweep's
+// ledger is the serve job queue: BatchLedgerWal.* pin how registered
+// manifest cases fold back from its WAL.
 
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "eco/fleet.hpp"
 #include "eco/isolate.hpp"
 #include "eco/syseco.hpp"
 #include "io/journal_io.hpp"
 #include "serve/batch.hpp"
-#include "serve/batch_ledger.hpp"
+#include "serve/job_queue.hpp"
 #include "util/fault.hpp"
 #include "util/journal.hpp"
-#include "util/subprocess.hpp"
+#include "test_agent.hpp"
 #include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
@@ -36,9 +35,6 @@
 namespace syseco {
 namespace {
 
-using serve::BatchCase;
-using serve::BatchLedger;
-using serve::CaseState;
 using serve::ManifestCase;
 
 // --- Case names (they name artifact directories on the supervisor) --------
@@ -173,18 +169,18 @@ TEST(BatchCodec, CaseResultFailsClosedOnHostileInput) {
   EXPECT_FALSE(decodeFleetCaseResult(evil).isOk());
 }
 
-// --- Batch-event WAL records ----------------------------------------------
+// --- The queue WAL record of a batch case --------------------------------
 
 TEST(BatchCodec, LedgerEventRoundtrips) {
-  JournalBatchEvent e;
-  e.event = "dispatched";
-  e.name = "alu-seed2";
+  JournalServeEvent e;
+  e.event = "running";
+  e.job = "alu-seed2";
+  e.format = "blif";
   e.impl = "/tmp/i.blif";
   e.spec = "/tmp/s.blif";
   e.seed = 0xfffffffffffffffeULL;  // past double precision: string-encoded
   e.jobs = 4;
   e.worker = "127.0.0.1:9000";
-  e.epoch = 7;
   e.attempt = 2;
   e.exitCode = 4;
   e.cause = "lease-expired";
@@ -192,32 +188,45 @@ TEST(BatchCodec, LedgerEventRoundtrips) {
   e.cacheHits = 10;
   e.cacheMisses = 20;
   e.cacheEvictions = 30;
-  Result<JournalBatchEvent> back = parseBatchEvent(serializeBatchEvent(e));
+  Result<JournalServeEvent> back = parseServeEvent(serializeServeEvent(e));
   ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_EQ(back.value().event, "dispatched");
-  EXPECT_EQ(back.value().name, "alu-seed2");
+  EXPECT_EQ(back.value().event, "running");
+  EXPECT_EQ(back.value().job, "alu-seed2");
+  EXPECT_EQ(back.value().impl, "/tmp/i.blif");
+  EXPECT_EQ(back.value().spec, "/tmp/s.blif");
   EXPECT_EQ(back.value().seed, 0xfffffffffffffffeULL);
   EXPECT_EQ(back.value().jobs, 4);
   EXPECT_EQ(back.value().worker, "127.0.0.1:9000");
-  EXPECT_EQ(back.value().epoch, 7u);
   EXPECT_EQ(back.value().attempt, 2);
   EXPECT_EQ(back.value().cause, "lease-expired");
+  EXPECT_EQ(back.value().cacheHits, 10u);
+  EXPECT_EQ(back.value().cacheMisses, 20u);
   EXPECT_EQ(back.value().cacheEvictions, 30u);
 }
 
 TEST(BatchCodec, LedgerEventFailsClosedOnHostileInput) {
-  EXPECT_FALSE(parseBatchEvent("").isOk());
-  EXPECT_FALSE(parseBatchEvent("junk").isOk());
-  EXPECT_FALSE(parseBatchEvent("{\"type\":\"serve\"}").isOk());
-  EXPECT_FALSE(parseBatchEvent("{\"type\":\"batch\"}").isOk());
+  EXPECT_FALSE(parseServeEvent("").isOk());
+  EXPECT_FALSE(parseServeEvent("junk").isOk());
+  EXPECT_FALSE(parseServeEvent("{\"type\":\"batch\"}").isOk());
+  EXPECT_FALSE(parseServeEvent("{\"type\":\"serve\"}").isOk());
+  // The batch-case fields are optional, but present ones must be typed.
+  JournalServeEvent e;
+  e.event = "done";
+  e.job = "a";
+  std::string evil = serializeServeEvent(e);
+  const std::size_t at = evil.find("\"cache_hits\":0");
+  ASSERT_NE(at, std::string::npos);
+  evil.replace(at, 14, "\"cache_hits\":\"many\"");
+  EXPECT_FALSE(parseServeEvent(evil).isOk());
 }
 
 // --- Deterministic case-redispatch pacing (the shared jitter contract) ----
 
 TEST(BatchBackoff, IsExactlyTheWorkerRetryContract) {
-  // The case scheduler reuses retryBackoffSeconds keyed by manifest ordinal
-  // - no new RNG path. Pin bitwise equality so a divergence (a new jitter
-  // source, a different cap) fails loudly.
+  // The case scheduler paces every requeue cause - agent failures, worker
+  // deaths, spawn failures - with retryBackoffSeconds keyed by crc32(job
+  // id): no new RNG path, no second backoff policy. Pin bitwise equality so
+  // a divergence (a new jitter source, a different cap) fails loudly.
   for (double baseMs : {1.0, 100.0, 250.0}) {
     for (std::uint64_t seed : {1ull, 7ull, 0x12345678ull}) {
       SysecoOptions opt;
@@ -238,11 +247,11 @@ TEST(BatchBackoff, IsExactlyTheWorkerRetryContract) {
 
 TEST(BatchBackoff, SameInputsSameScheduleAcrossDriverLives) {
   // A SIGKILLed-and-restarted driver recomputes the schedule from the
-  // ledger's (seed, ordinal, attempt) alone; two calls must agree exactly.
+  // queue's (seed, id, attempt) alone; two calls must agree exactly.
   const double a = serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3);
   const double b = serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3);
   EXPECT_EQ(a, b);
-  // And the jitter really keys on seed and ordinal.
+  // And the jitter really keys on seed and case key.
   EXPECT_NE(serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3),
             serve::caseRedispatchBackoffSeconds(100.0, 43, 5, 3));
   EXPECT_NE(serve::caseRedispatchBackoffSeconds(100.0, 42, 5, 3),
@@ -297,7 +306,7 @@ TEST(BatchManifest, FailsClosedOnHostileInput) {
     EXPECT_FALSE(serve::parseBatchManifest(text).isOk()) << text;
 }
 
-// --- The WAL-backed batch ledger ------------------------------------------
+// --- The batch ledger: manifest cases in the queue WAL ---------------------
 
 std::string freshDir(const std::string& name) {
   return uniqueTestDir("batch", name);
@@ -306,134 +315,90 @@ std::string freshDir(const std::string& name) {
 TEST(BatchLedgerWal, TransitionsAreDurableAndFoldBack) {
   const std::string dir = freshDir("fold");
   {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk()) << ledger.status().toString();
-    EXPECT_FALSE(ledger.value().hadCases());
-    Result<BatchCase*> a =
-        ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
-    Result<BatchCase*> b =
-        ledger.value().registerCase("b", "i.blif", "s.blif", 2, 2);
+    Result<serve::JobQueue> q = serve::JobQueue::open(dir);
+    ASSERT_TRUE(q.isOk()) << q.status().toString();
+    Result<serve::Job*> a =
+        q.value().registerCase("a", "i.blif", "s.blif", 1, 1);
+    Result<serve::Job*> b = q.value().registerCase("b", "i.v", "s.v", 2, 2);
     ASSERT_TRUE(a.isOk() && b.isOk());
-    ASSERT_TRUE(ledger.value().markDispatched(*a.value(), 1, "w:1", 5).isOk());
-    ASSERT_TRUE(ledger.value().markDone(*a.value(), 0, 3, 4, 5).isOk());
-    // b stays queued. Drop the ledger without any shutdown ceremony.
+    ASSERT_TRUE(q.value().markRunning(*a.value(), 1, "w:1").isOk());
+    ASSERT_TRUE(q.value().markDone(*a.value(), 4, 3, 4, 5).isOk());
+    // b stays queued. Drop the queue without any shutdown ceremony.
   }
-  Result<BatchLedger> back = BatchLedger::open(dir);
+  Result<serve::JobQueue> back = serve::JobQueue::open(dir);
   ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_TRUE(back.value().hadCases());
-  BatchCase* a = back.value().find("a");
-  BatchCase* b = back.value().find("b");
+  serve::Job* a = back.value().find("a");
+  serve::Job* b = back.value().find("b");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(a->state, CaseState::kDone);
-  EXPECT_EQ(a->exitCode, 0);
+  EXPECT_EQ(a->state, serve::QueueState::kDone);
+  EXPECT_EQ(a->exitCode, 4);
   EXPECT_EQ(a->worker, "w:1");
   EXPECT_EQ(a->cacheHits, 3u);
+  EXPECT_EQ(a->cacheMisses, 4u);
   EXPECT_EQ(a->cacheEvictions, 5u);
-  EXPECT_EQ(b->state, CaseState::kQueued);
+  EXPECT_EQ(b->state, serve::QueueState::kQueued);
+  EXPECT_FALSE(b->resume);
   EXPECT_EQ(b->seed, 2u);
   EXPECT_EQ(b->jobs, 2);
+  EXPECT_EQ(b->format, "v");
+  EXPECT_EQ(back.value().outPath(*b), back.value().jobDir("b") + "/out.v");
+  // Registration order survives the fold (a sweep dispatches in manifest
+  // order on every life).
+  ASSERT_EQ(back.value().all().size(), 2u);
+  EXPECT_EQ(back.value().all()[0], a);
+  EXPECT_EQ(back.value().all()[1], b);
 }
 
 TEST(BatchLedgerWal, MidDispatchKillRecoversAsQueuedWithResume) {
   const std::string dir = freshDir("recover");
   {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk());
-    Result<BatchCase*> c =
-        ledger.value().registerCase("c", "i.blif", "s.blif", 3, 1);
-    ASSERT_TRUE(c.isOk());
-    ASSERT_TRUE(
-        ledger.value().markDispatched(*c.value(), 2, "127.0.0.1:1", 9).isOk());
-    // SIGKILL here: the WAL's last word about c is "dispatched".
+    Result<serve::JobQueue> q = serve::JobQueue::open(dir);
+    ASSERT_TRUE(q.isOk());
+    Result<serve::Job*> c =
+        q.value().registerCase("c", "i.blif", "s.blif", 3, 1);
+    ASSERT_TRUE(c.isOk()) << c.status().toString();
+    ASSERT_TRUE(q.value().markRunning(*c.value(), 2, "127.0.0.1:1").isOk());
+    // SIGKILL here: the WAL's last word about c is "running".
   }
-  Result<BatchLedger> back = BatchLedger::open(dir);
+  Result<serve::JobQueue> back = serve::JobQueue::open(dir);
   ASSERT_TRUE(back.isOk());
-  BatchCase* c = back.value().find("c");
+  serve::Job* c = back.value().find("c");
   ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->state, CaseState::kQueued) << "orphaned case must re-queue";
+  EXPECT_EQ(c->state, serve::QueueState::kQueued)
+      << "orphaned case must re-queue";
   EXPECT_TRUE(c->resume) << "recovery must resume the engine journal";
   EXPECT_EQ(c->attempt, 2) << "attempt accounting survives the kill";
+  EXPECT_EQ(back.value().implPath(*c), "i.blif");
+  EXPECT_EQ(back.value().specPath(*c), "s.blif");
   bool noted = false;
   for (const std::string& n : back.value().recoveryNotes())
-    noted |= n.find("c") != std::string::npos;
+    noted |= n.find("job c ") != std::string::npos &&
+             n.find("resume") != std::string::npos;
   EXPECT_TRUE(noted) << "recovery must be observable";
-}
-
-TEST(BatchLedgerWal, ReRegistrationIsIdempotentButGuardsTheManifest) {
-  const std::string dir = freshDir("idem");
-  Result<BatchLedger> ledger = BatchLedger::open(dir);
-  ASSERT_TRUE(ledger.isOk());
-  Result<BatchCase*> first =
-      ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
-  ASSERT_TRUE(first.isOk());
-  Result<BatchCase*> again =
-      ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1);
-  ASSERT_TRUE(again.isOk());
-  EXPECT_EQ(first.value(), again.value()) << "same case, same record";
-  // The same name with different inputs is a different sweep: refuse it
-  // rather than silently mixing manifests on one state directory.
-  EXPECT_FALSE(
-      ledger.value().registerCase("a", "OTHER.blif", "s.blif", 1, 1).isOk());
-  EXPECT_FALSE(
-      ledger.value().registerCase("a", "i.blif", "s.blif", 2, 1).isOk());
-}
-
-TEST(BatchLedgerWal, GarbageWalRecordsAreQuarantinedNotFatal) {
-  const std::string dir = freshDir("garbage");
-  {
-    Result<BatchLedger> ledger = BatchLedger::open(dir);
-    ASSERT_TRUE(ledger.isOk());
-    ASSERT_TRUE(
-        ledger.value().registerCase("a", "i.blif", "s.blif", 1, 1).isOk());
-  }
-  // Append raw garbage past the valid records.
-  std::ofstream(dir + "/ledger/journal.jsonl", std::ios::app)
-      << "J1 zzzz not-a-frame\n";
-  Result<BatchLedger> back = BatchLedger::open(dir);
-  ASSERT_TRUE(back.isOk()) << back.status().toString();
-  EXPECT_NE(back.value().find("a"), nullptr);
 }
 
 // --- End to end: remote and local sweeps are bit-identical -----------------
 
 #ifdef SYSECO_CLI_BIN
 
-/// A real --serve-worker agent on a loopback ephemeral port, in-thread.
-struct Agent {
-  std::atomic<bool> stop{false};
-  std::atomic<int> port{-1};
-  std::thread th;
-
-  void start() {
-    th = std::thread([this] {
-      FleetAgentOptions o;
-      o.port = 0;
-      o.stop = &stop;
-      o.boundHook = [this](std::uint16_t bound) {
-        port.store(static_cast<int>(bound));
-      };
-      const Status st = runWorkerAgent(o);
-      if (!st.isOk()) ADD_FAILURE() << "agent failed: " << st.toString();
-    });
-    while (port.load() < 0) subprocess::pollReadable({}, 10);
-  }
-
-  std::string spec() const {
-    return "127.0.0.1:" + std::to_string(port.load());
-  }
-
-  ~Agent() {
-    stop.store(true);
-    if (th.joinable()) th.join();
-  }
-};
-
 std::string slurp(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   std::ostringstream os;
   os << f.rdbuf();
   return os.str();
+}
+
+/// Every event the sweep appended to its queue WAL, in order.
+std::vector<JournalServeEvent> queueEvents(const std::string& stateDir) {
+  std::vector<JournalServeEvent> events;
+  Result<JournalScan> scan = scanJournal(stateDir + "/queue");
+  if (!scan.isOk()) return events;
+  for (const JournalFrame& f : scan.value().frames) {
+    Result<JournalServeEvent> ev = parseServeEvent(f.payload);
+    if (ev.isOk()) events.push_back(ev.take());
+  }
+  return events;
 }
 
 std::string writeManifest(const std::string& dir) {
@@ -486,8 +451,8 @@ TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {
   EXPECT_EQ(r2.value().failed, 0u);
 
   for (const char* name : {"alu-s1", "alu-s2"}) {
-    const std::string rc = dir + "/remote/cases/" + name;
-    const std::string lc = dir + "/local/cases/" + name;
+    const std::string rc = dir + "/remote/jobs/" + name;
+    const std::string lc = dir + "/local/jobs/" + name;
     const std::string rOut = slurp(rc + "/out.blif");
     ASSERT_FALSE(rOut.empty()) << name;
     EXPECT_EQ(rOut, slurp(lc + "/out.blif")) << name << " netlist diverged";
@@ -495,6 +460,13 @@ TEST(BatchEndToEnd, RemoteSweepMatchesTheLocalPoolBitForBit) {
     ASSERT_FALSE(rVerdicts.empty()) << name;
     EXPECT_EQ(rVerdicts, slurp(lc + "/verdicts.txt"))
         << name << " verdicts diverged";
+  }
+  // The remote sweep really ran on the agents: each done record names one.
+  for (const JournalServeEvent& ev : queueEvents(dir + "/remote")) {
+    if (ev.event == "done") {
+      EXPECT_TRUE(ev.worker == a1.spec() || ev.worker == a2.spec())
+          << ev.job << " finished on '" << ev.worker << "'";
+    }
   }
   // Satellite observability: the batch report surfaces agent cache counters.
   const std::string report = slurp(dir + "/remote/batch_report.json");
@@ -514,7 +486,7 @@ TEST(BatchEndToEnd, DeadFleetDegradesToTheLocalPool) {
   EXPECT_EQ(out.value().done, 2u);
   EXPECT_EQ(out.value().failed, 0u);
   EXPECT_TRUE(out.value().degradedToLocal);
-  EXPECT_FALSE(slurp(dir + "/state/cases/alu-s1/out.blif").empty());
+  EXPECT_FALSE(slurp(dir + "/state/jobs/alu-s1/out.blif").empty());
 }
 
 TEST(BatchEndToEnd, FreshStateDirRefusesAResumedLedger) {
@@ -539,20 +511,8 @@ TEST(BatchEndToEnd, FreshStateDirRefusesAResumedLedger) {
 //
 // Each test arms one agent-side fault site for the first dispatch of case
 // alu-s1, sweeps the manifest over two loopback agents, and checks that the
-// fault is classified in the ledger WAL while both cases still drain to
+// fault is classified in the queue WAL while both cases still drain to
 // the artifacts of a clean sweep.
-
-/// Every batch event the sweep appended to its ledger WAL, in order.
-std::vector<JournalBatchEvent> ledgerEvents(const std::string& stateDir) {
-  std::vector<JournalBatchEvent> events;
-  Result<JournalScan> scan = scanJournal(stateDir + "/ledger");
-  if (!scan.isOk()) return events;
-  for (const JournalFrame& f : scan.value().frames) {
-    Result<JournalBatchEvent> ev = parseBatchEvent(f.payload);
-    if (ev.isOk()) events.push_back(ev.take());
-  }
-  return events;
-}
 
 class BatchFleetFaults : public ::testing::Test {
  protected:
@@ -591,8 +551,8 @@ class BatchFleetFaults : public ::testing::Test {
       EXPECT_FALSE(out.value().degradedToLocal);
     }
     for (const char* name : {"alu-s1", "alu-s2"}) {
-      const std::string got = dir + "/state/cases/" + name;
-      const std::string want = dir + "/clean/cases/" + name;
+      const std::string got = dir + "/state/jobs/" + name;
+      const std::string want = dir + "/clean/jobs/" + name;
       EXPECT_FALSE(slurp(got + "/out.blif").empty()) << name;
       EXPECT_EQ(slurp(got + "/out.blif"), slurp(want + "/out.blif")) << name;
       EXPECT_EQ(slurp(got + "/verdicts.txt"), slurp(want + "/verdicts.txt"))
@@ -601,11 +561,11 @@ class BatchFleetFaults : public ::testing::Test {
     return dir + "/state";
   }
 
-  /// Requeue causes the ledger recorded for case alu-s1.
+  /// Requeue causes the queue recorded for case alu-s1.
   static std::vector<std::string> requeueCauses(const std::string& state) {
     std::vector<std::string> causes;
-    for (const JournalBatchEvent& ev : ledgerEvents(state))
-      if (ev.event == "requeued" && ev.name == "alu-s1")
+    for (const JournalServeEvent& ev : queueEvents(state))
+      if (ev.event == "recovered" && ev.job == "alu-s1")
         causes.push_back(ev.cause);
     return causes;
   }
@@ -613,8 +573,8 @@ class BatchFleetFaults : public ::testing::Test {
   /// The dispatch ordinal alu-s1 finished on (1 = first attempt).
   static std::int64_t finalAttempt(const std::string& state) {
     std::int64_t attempt = 0;
-    for (const JournalBatchEvent& ev : ledgerEvents(state))
-      if (ev.event == "done" && ev.name == "alu-s1") attempt = ev.attempt;
+    for (const JournalServeEvent& ev : queueEvents(state))
+      if (ev.event == "done" && ev.job == "alu-s1") attempt = ev.attempt;
     return attempt;
   }
 };
@@ -646,7 +606,7 @@ TEST_F(BatchFleetFaults, LateDuplicateResultIsDiscardedByEpoch) {
   EXPECT_EQ(requeueCauses(state), std::vector<std::string>{"lease-expired"});
   EXPECT_EQ(finalAttempt(state), 2);
   bool discarded = false;
-  for (const JournalBatchEvent& ev : ledgerEvents(state))
+  for (const JournalServeEvent& ev : queueEvents(state))
     discarded |= ev.event == "note" &&
                  ev.detail.find("stale-epoch duplicate") != std::string::npos &&
                  ev.detail.find("alu-s1") != std::string::npos;

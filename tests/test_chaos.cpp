@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "serve/batch_ledger.hpp"
 #include "serve/codec.hpp"
 #include "serve/job_queue.hpp"
 #include "util/atomic_file.hpp"
@@ -575,27 +574,33 @@ TEST_F(ChaosTest, QueueCompactionCrashAfterRenameLeavesNewWalRecoverable) {
 }
 
 TEST_F(ChaosTest, LedgerCompactionCrashLeavesOldWalRecoverable) {
+  // A --batch sweep's ledger is the queue WAL: a registered manifest case
+  // mid-dispatch must survive a crash at every compaction step.
   const std::string dir = testDir("ledgercrash");
   {
-    Result<serve::BatchLedger> l = serve::BatchLedger::open(dir);
-    ASSERT_TRUE(l.isOk());
-    Result<serve::BatchCase*> c =
-        l.value().registerCase("alpha", "i.blif", "s.blif", 7, 2);
+    Result<serve::JobQueue> q = serve::JobQueue::open(dir);
+    ASSERT_TRUE(q.isOk());
+    Result<serve::Job*> c =
+        q.value().registerCase("alpha", "i.blif", "s.blif", 7, 2);
     ASSERT_TRUE(c.isOk());
-    ASSERT_TRUE(l.value().markDispatched(*c.value(), 1, "local", 1).isOk());
+    ASSERT_TRUE(q.value().markRunning(*c.value(), 1).isOk());
   }
   for (const char* site :
-       {"ledger.wal.compact.write", "ledger.wal.compact.fsync",
-        "ledger.wal.marker.write"})
-    expectCrashDuringOpen(site, [&] { (void)serve::BatchLedger::open(dir); });
+       {"queue.wal.compact.write", "queue.wal.compact.fsync",
+        "queue.wal.marker.write"})
+    expectCrashDuringOpen(site, [&] { (void)serve::JobQueue::open(dir); });
 
-  Result<serve::BatchLedger> l = serve::BatchLedger::open(dir);
-  ASSERT_TRUE(l.isOk());
-  ASSERT_EQ(l.value().all().size(), 1u);
-  EXPECT_EQ(l.value().all()[0]->name, "alpha");
-  EXPECT_EQ(l.value().all()[0]->state, serve::CaseState::kQueued);
-  EXPECT_TRUE(l.value().all()[0]->resume);
-  EXPECT_EQ(l.value().all()[0]->seed, 7u);
+  Result<serve::JobQueue> q = serve::JobQueue::open(dir);
+  ASSERT_TRUE(q.isOk());
+  ASSERT_EQ(q.value().all().size(), 1u);
+  const serve::Job& c = *q.value().all()[0];
+  EXPECT_EQ(c.id, "alpha");
+  EXPECT_EQ(c.state, serve::QueueState::kQueued);
+  EXPECT_TRUE(c.resume);
+  EXPECT_EQ(c.seed, 7u);
+  EXPECT_EQ(c.jobs, 2);
+  EXPECT_EQ(q.value().implPath(c), "i.blif");
+  EXPECT_FALSE(q.value().walPoisoned());
 }
 
 TEST_F(ChaosTest, PoisonedQueueWalRefusesFurtherTransitions) {

@@ -142,7 +142,7 @@ TEST(FleetCodec, FailureRoundtripsAndRejectsUnknownCauses) {
           .isOk());
 }
 
-TEST(FleetCodec, CaseRoundtripsNetlistsOptionsAndProtectList) {
+TEST(FleetCodec, CaseRoundtripsNetlistsAndOptions) {
   const Netlist base = resultBase();
   Netlist spec;
   const NetId a = spec.addInput("a");
@@ -151,25 +151,25 @@ TEST(FleetCodec, CaseRoundtripsNetlistsOptionsAndProtectList) {
   spec.addOutput("p", spec.addGate(GateType::Or, {a, b}));
   SysecoOptions opt;
   opt.seed = 1234;
-  const std::vector<std::uint32_t> protect = {1, 0};
 
-  Result<FleetCase> back =
-      decodeFleetCase(encodeFleetCase(base, spec, opt, protect));
+  Result<FleetCase> back = decodeFleetCase(encodeFleetCase(base, spec, opt));
   ASSERT_TRUE(back.isOk()) << back.status().toString();
   EXPECT_EQ(back.value().base.dumpRawString(), base.dumpRawString());
   EXPECT_EQ(back.value().spec.dumpRawString(), spec.dumpRawString());
   EXPECT_EQ(back.value().options.seed, 1234u);
-  EXPECT_EQ(back.value().protect, protect);
 }
 
 TEST(FleetCodec, CaseRejectsCorruption) {
   const Netlist base = resultBase();
   EXPECT_FALSE(decodeFleetCase("").isOk());
   EXPECT_FALSE(decodeFleetCase("not json").isOk());
-  // A protect entry past the base output count is semantic garbage.
+  // Options outside validateSysecoOptions' contract are semantic garbage.
   SysecoOptions opt;
-  EXPECT_FALSE(
-      decodeFleetCase(encodeFleetCase(base, base, opt, {99})).isOk());
+  std::string evil = encodeFleetCase(base, base, opt);
+  const std::size_t at = evil.find("\"points\":");
+  ASSERT_NE(at, std::string::npos);
+  evil.insert(at + 9, "-");
+  EXPECT_FALSE(decodeFleetCase(evil).isOk());
 }
 
 // --- The agent's resident-case LRU ----------------------------------------

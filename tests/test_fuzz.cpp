@@ -356,9 +356,9 @@ TEST(IpcFuzz, OversizedAndRandomGarbageNeverCrash) {
   }
 }
 
-// --- Case-dispatch and batch-ledger codec robustness ------------------------
+// --- Case-dispatch and batch-case codec robustness --------------------------
 // The whole-case batch protocol adds two frame payloads (case task, case
-// result) and two text formats (batch manifest, ledger WAL event). All of
+// result) and two text formats (batch manifest, queue WAL event). All of
 // them take bytes from the network or from user files: every decode must
 // fail closed - a Status, never UB, an abort, or an attacker-sized
 // allocation.
@@ -477,22 +477,24 @@ TEST(ParserFuzz, HostileBatchManifestsAndLedgerEventsFailClosed) {
   };
   for (const char* text : corpus) {
     EXPECT_FALSE(serve::parseBatchManifest(text).isOk()) << text;
-    (void)parseBatchEvent(text);
+    (void)parseServeEvent(text);
   }
-  // A valid ledger event, bit-flipped: parse must classify, never crash.
-  JournalBatchEvent e;
-  e.event = "dispatched";
-  e.name = "a";
+  // A valid batch-case WAL event, bit-flipped: parse must classify, never
+  // crash.
+  JournalServeEvent e;
+  e.event = "running";
+  e.job = "a";
   e.impl = "i";
   e.spec = "s";
-  const std::string ref = serializeBatchEvent(e);
+  e.worker = "127.0.0.1:9";
+  const std::string ref = serializeServeEvent(e);
   for (int round = 0; round < 128; ++round) {
     std::string mutated = ref;
     for (int edit = 0; edit < 3; ++edit) {
       const std::size_t pos = rng.below(mutated.size());
       mutated[pos] = static_cast<char>(rng.below(256));
     }
-    (void)parseBatchEvent(mutated);
+    (void)parseServeEvent(mutated);
   }
   // Random garbage through the manifest parser.
   for (int round = 0; round < 128; ++round) {

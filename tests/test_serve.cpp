@@ -1,5 +1,6 @@
-// ECO-as-a-service: the --serve daemon's durable job queue, admission
-// control, worker-pool watchdog and session protocol, plus the property
+// ECO-as-a-service: the durable job queue (daemon jobs and registered
+// batch cases alike), admission control, worker-pool watchdog, session
+// protocol and the daemon's --workers fleet path, plus the property
 // the whole subsystem exists for - a daemon killed with SIGKILL at any
 // instant recovers its queue from the WAL, resumes mid-run jobs from
 // their own engine journals, and drains to verdict records bit-identical
@@ -20,14 +21,18 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "io/journal_io.hpp"
 #include "serve/codec.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/serve.hpp"
 #include "serve/watchdog.hpp"
+#include "util/journal.hpp"
 #include "util/socket.hpp"
 #include "util/subprocess.hpp"
+#include "test_agent.hpp"
 #include "test_dirs.hpp"
 
 #ifndef SYSECO_SOURCE_DIR
@@ -253,6 +258,62 @@ TEST(ServeQueue, TerminalStatesSurviveAndCompactionBoundsTheWal) {
   EXPECT_LE(lines, 6u) << wal;
 }
 
+TEST(ServeQueue, ReRegistrationIsIdempotentButGuardsTheManifest) {
+  const std::string dir = freshDir("idem");
+  Result<JobQueue> opened = JobQueue::open(dir);
+  ASSERT_TRUE(opened.isOk());
+  JobQueue q = opened.take();
+  Result<Job*> first = q.registerCase("a", "i.blif", "s.blif", 1, 1);
+  ASSERT_TRUE(first.isOk());
+  Result<Job*> again = q.registerCase("a", "i.blif", "s.blif", 1, 1);
+  ASSERT_TRUE(again.isOk());
+  EXPECT_EQ(first.value(), again.value()) << "same case, same record";
+  // The same name with different inputs is a different sweep: refuse it
+  // rather than silently mixing manifests on one state directory.
+  for (const auto& [impl, spec, seed, jobs] :
+       {std::tuple<const char*, const char*, std::uint64_t, std::int64_t>{
+            "OTHER.blif", "s.blif", 1, 1},
+        {"i.blif", "OTHER.blif", 1, 1},
+        {"i.blif", "s.blif", 2, 1},
+        {"i.blif", "s.blif", 1, 2}}) {
+    Result<Job*> clash = q.registerCase("a", impl, spec, seed, jobs);
+    ASSERT_FALSE(clash.isOk());
+    EXPECT_EQ(clash.status().code(), StatusCode::kInvalidInput);
+  }
+  EXPECT_EQ(q.all().size(), 1u);
+}
+
+TEST(ServeQueue, GarbageWalRecordsAreQuarantinedNotFatal) {
+  const std::string dir = freshDir("garbage");
+  {
+    Result<JobQueue> opened = JobQueue::open(dir);
+    ASSERT_TRUE(opened.isOk());
+    ASSERT_TRUE(opened.value().submit(queueRequest("alice", "x")).isOk());
+    ASSERT_TRUE(
+        opened.value().registerCase("a", "i.blif", "s.blif", 1, 1).isOk());
+  }
+  // A framed record whose payload is not a queue event, then raw garbage
+  // past the valid records.
+  {
+    Result<JournalScan> scan = scanJournal(dir + "/queue");
+    ASSERT_TRUE(scan.isOk());
+    Result<JournalWriter> w = JournalWriter::resume(dir + "/queue",
+                                                    scan.value(), "queue.wal");
+    ASSERT_TRUE(w.isOk()) << w.status().toString();
+    ASSERT_TRUE(w.value().append("{\"type\":\"serve\",\"event\":7}").isOk());
+  }
+  std::ofstream(dir + "/queue/journal.jsonl", std::ios::app)
+      << "J1 zzzz not-a-frame\n";
+  Result<JobQueue> back = JobQueue::open(dir);
+  ASSERT_TRUE(back.isOk()) << back.status().toString();
+  EXPECT_NE(back.value().find("j000001"), nullptr);
+  EXPECT_NE(back.value().find("a"), nullptr);
+  bool dropped = false;
+  for (const std::string& n : back.value().recoveryNotes())
+    dropped |= n.find("unparseable") != std::string::npos;
+  EXPECT_TRUE(dropped) << "a dropped record must be observable";
+}
+
 TEST(ServeQueue, AdmissionShedsAtEachLedgerAndFreesOnCompletion) {
   const std::string dir = freshDir("admit");
   Result<JobQueue> opened = JobQueue::open(dir);
@@ -312,19 +373,10 @@ const WorkerExit* exitFor(const std::vector<WorkerExit>& exits,
   return nullptr;
 }
 
-TEST(ServeWatchdog, BackoffDoublesFromTheBaseAndCaps) {
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(1), 0.0);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(2), 0.1);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(3), 0.2);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(4), 0.4);
-  EXPECT_DOUBLE_EQ(wd.backoffSeconds(50), 5.0);
-}
-
 TEST(ServeWatchdog, ClassifiesVerdictExitsTerminalAndDeathsRetryable) {
   const std::string dir = freshDir("classify");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{4, 3, 100.0});
+  PoolWatchdog wd(4);
   ASSERT_TRUE(wd.spawn("clean", 1, shellArgv("exit 0"), dir + "/a.log", {})
                   .isOk());
   ASSERT_TRUE(wd.spawn("degraded", 1, shellArgv("exit 4"), dir + "/b.log", {})
@@ -369,7 +421,7 @@ TEST(ServeWatchdog, ClassifiesVerdictExitsTerminalAndDeathsRetryable) {
 TEST(ServeWatchdog, ExportsExtraEnvAndCapturesTheWorkerLog) {
   const std::string dir = freshDir("env");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
+  PoolWatchdog wd(1);
   ASSERT_TRUE(wd.spawn("envjob", 1,
                        shellArgv("echo marker-$SYSECO_SERVE_TEST_ENV"),
                        dir + "/w.log", {"SYSECO_SERVE_TEST_ENV=hello"})
@@ -381,7 +433,7 @@ TEST(ServeWatchdog, ExportsExtraEnvAndCapturesTheWorkerLog) {
 TEST(ServeWatchdog, TerminateKillsAStubbornProcessGroup) {
   const std::string dir = freshDir("term");
   ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
-  PoolWatchdog wd(PoolWatchdog::Options{1, 3, 100.0});
+  PoolWatchdog wd(1);
   // The stand-in shrugs off SIGTERM, so only the escalation to SIGKILL
   // (after the grace) can end it.
   ASSERT_TRUE(wd.spawn("stubborn", 1,
@@ -605,6 +657,84 @@ TEST(ServeDaemon, ClientDisconnectCancelsBoundJobsButNotDetachedOnes) {
   Result<JobState> cleaned = observer.cancel(detached);
   ASSERT_TRUE(cleaned.isOk());
   EXPECT_EQ(cleaned.value().state, "cancelled");
+}
+
+// --- Whole-case dispatch to --workers agents -------------------------------
+
+/// The last `event` record the queue WAL holds for `job` (default-valued
+/// when there is none).
+JournalServeEvent lastEvent(const std::string& stateDir,
+                            const std::string& job, const std::string& event) {
+  JournalServeEvent last;
+  Result<JournalScan> scan = scanJournal(stateDir + "/queue");
+  if (!scan.isOk()) return last;
+  for (const JournalFrame& f : scan.value().frames) {
+    Result<JournalServeEvent> ev = parseServeEvent(f.payload);
+    if (ev.isOk() && ev.value().job == job && ev.value().event == event)
+      last = ev.take();
+  }
+  return last;
+}
+
+TEST(ServeDaemon, UnreachableAgentDoesNotSpendTheJobsAttempts) {
+  DaemonHarness daemon;
+  ServeOptions opt;
+  opt.stateDir = freshDir("e2e_unreachable");
+  opt.workers = {"127.0.0.1:1"};  // nothing listens there
+  opt.connectTimeoutMs = 200;
+  opt.maxAttempts = 2;
+  daemon.start(opt);
+  ServeClient client = daemon.client();
+
+  Result<SubmitOutcome> sub = client.submit(aluRequest(7));
+  ASSERT_TRUE(sub.isOk()) << sub.status().toString();
+  ASSERT_TRUE(sub.value().accepted);
+  const std::string job = sub.value().job;
+  Result<JobState> st = client.wait(job, 50);
+  ASSERT_TRUE(st.isOk()) << st.status().toString();
+  // The refused connection strikes the agent, not the job: the job runs on
+  // the local pool on its first attempt instead of being quarantined.
+  EXPECT_EQ(st.value().state, "done")
+      << st.value().cause << ": " << st.value().detail;
+  EXPECT_EQ(st.value().exitCode, 0);
+  EXPECT_EQ(st.value().attempt, 1);
+  const JournalServeEvent done = lastEvent(opt.stateDir, job, "done");
+  EXPECT_EQ(done.event, "done");
+  EXPECT_EQ(done.worker, "") << "expected the local pool";
+}
+
+TEST(ServeDaemon, FleetJobMatchesTheLocalPoolByteForByte) {
+  Agent agent;
+  agent.start();
+  std::vector<std::string> outs, verdicts;
+  for (const bool fleet : {true, false}) {
+    DaemonHarness daemon;
+    ServeOptions opt;
+    opt.stateDir = freshDir(fleet ? "e2e_fleet" : "e2e_fleet_local");
+    if (fleet) opt.workers = {agent.spec()};
+    daemon.start(opt);
+    ServeClient client = daemon.client();
+
+    Result<SubmitOutcome> sub = client.submit(aluRequest(3));
+    ASSERT_TRUE(sub.isOk()) << sub.status().toString();
+    ASSERT_TRUE(sub.value().accepted);
+    const std::string job = sub.value().job;
+    Result<JobState> done = client.wait(job, 50);
+    ASSERT_TRUE(done.isOk()) << done.status().toString();
+    ASSERT_EQ(done.value().state, "done") << done.value().detail;
+    EXPECT_EQ(done.value().exitCode, 0);
+    // The WAL names where the job ran: the agent, or the local pool.
+    EXPECT_EQ(lastEvent(opt.stateDir, job, "done").worker,
+              fleet ? agent.spec() : "");
+    const std::string jobDir = opt.stateDir + "/jobs/" + job;
+    outs.push_back(slurp(jobDir + "/out.blif"));
+    verdicts.push_back(slurp(jobDir + "/verdicts.txt"));
+    EXPECT_EQ(done.value().outText, outs.back());
+  }
+  ASSERT_FALSE(outs[0].empty());
+  ASSERT_FALSE(verdicts[0].empty());
+  EXPECT_EQ(outs[0], outs[1]) << "netlist diverged between transports";
+  EXPECT_EQ(verdicts[0], verdicts[1]) << "verdicts diverged between transports";
 }
 
 // --- SIGKILL the daemon: recovery and bit-identical drain -----------------
