@@ -1,16 +1,29 @@
 #!/usr/bin/env bash
-# CI gauntlet: Release build + full test suite, sanitizer build + hostile
-# -input suite, a kill-and-resume smoke test that crash-injects the CLI
-# mid-run (simulated kill -9) and proves the journal resumes to a verified
-# result, and an isolation fault-injection matrix that crashes/OOMs/hangs/
-# garbles one worker subprocess per run and proves the supervisor contains
-# it, and a verify-oracle stage that certifies the example suite under
-# paranoid audits, injects a miscompiled patch and proves the oracle
-# catches it (repro bundle, quarantine, exit 4) with verdict records
-# bit-identical across jobs/isolate/resume, and a daemon-soak stage that SIGKILLs a resident --serve daemon mid-queue
-# and proves the restarted daemon recovers its WAL and drains every job to
-# verdicts bit-identical to undisturbed one-shot runs.
-# Run from anywhere; builds land in build-ci/ and build-ci-asan/.
+# CI gauntlet, one stage after another:
+#   release-tests    Release build + full test suite
+#   asan             ASan+UBSan build + hostile-input (sanitize) suite
+#   tsan             ThreadSanitizer build + the same labeled suite
+#   bench-smoke      scripts/bench.sh --quick + JSON schema validation
+#   perf-smoke       that bench gated against the committed BENCH_e2e.json
+#   kill-resume      a misspelled fault kind fails closed; then crash-inject
+#                    the CLI mid-run (simulated kill -9) and prove the
+#                    journal resumes to the uninterrupted report
+#   isolation-matrix crash/OOM/hang/garble one worker subprocess per run
+#                    and prove the supervisor contains it
+#   verify-oracle    certify the example suite under paranoid audits, inject
+#                    a miscompiled patch and prove the oracle catches it
+#                    (repro bundle, quarantine, exit 4), with verdict records
+#                    bit-identical across jobs/isolate/resume
+#   daemon-soak      SIGKILL a resident --serve daemon mid-queue; the
+#                    restart recovers its WAL and drains every job to
+#                    verdicts bit-identical to undisturbed one-shot runs
+#   batch-fanout     a --batch sweep over two loopback agents survives
+#                    SIGKILL of the sweep and of an agent, with
+#                    bit-identical artifacts
+#   chaos-soak       seeded storage-fault schedules over every execution
+#                    mode (ASan build) all heal to the reference verdicts
+# Run from anywhere; builds land in build-ci/, build-ci-asan/ and
+# build-ci-tsan/.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -131,6 +144,20 @@ CLI="$ROOT/build-ci/src/tools/syseco_cli"
 SMOKE="$(mktemp -d)"  # removed by the on_exit trap
 IMPL="$ROOT/data/alu_impl.blif"
 SPEC="$ROOT/data/alu_spec.blif"
+
+# A misspelled fault kind must fail closed (exit 3, naming the clause)
+# before the run starts; accepted silently, a typo in the crash loop below
+# would run fault-free and pass without ever crashing.
+set +e
+SYSECO_FAULT_INJECT="journal.checkpoint=crsh" \
+    "$CLI" --impl "$IMPL" --spec "$SPEC" --journal "$SMOKE/typo" \
+    > "$SMOKE/typo.log" 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 3 ] || { echo "misspelled fault kind: expected exit 3, got $rc"; exit 1; }
+grep -q "'journal.checkpoint=crsh'" "$SMOKE/typo.log" \
+    || { echo "misspelled fault kind: clause not named"; cat "$SMOKE/typo.log"; exit 1; }
+[ ! -e "$SMOKE/typo" ] || { echo "misspelled fault kind: the run started"; exit 1; }
 
 "$CLI" --impl "$IMPL" --spec "$SPEC" --report "$SMOKE/ref.json" \
     > "$SMOKE/ref.log"

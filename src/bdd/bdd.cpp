@@ -714,15 +714,9 @@ std::size_t Bdd::runReorder(const std::vector<Ref>& roots) {
   std::vector<std::uint32_t> vars(numVars_);
   for (std::uint32_t v = 0; v < numVars_; ++v) vars[v] = v;
 
-  const int maxPasses = cfg_.reorder == BddReorder::kSiftConverge ? 4 : 1;
   try {
-    for (int pass = 0; pass < maxPasses; ++pass) {
-      const std::size_t before = liveSize_;
-      siftPass(vars);
-      ++stats_.reorders;
-      // Converge when a pass recovers less than 2% of live size.
-      if (liveSize_ + liveSize_ / 50 >= before) break;
-    }
+    siftPass(vars);
+    ++stats_.reorders;
   } catch (const BddLimitExceeded&) {
     // Out of nodes mid-sift: the table is consistent at every swap
     // boundary, so abandon the pass and let the interrupted operation

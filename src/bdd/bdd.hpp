@@ -69,9 +69,7 @@ struct BddCube {
 ///  * kOff: identity behavior of the pre-reordering package - node creation
 ///    order, budget trip points and governor charges are bit-identical.
 ///  * kSift: one sifting pass per auto-reorder trigger.
-///  * kSiftConverge: sifting passes repeat until the live size stops
-///    improving (or a pass cap is hit).
-enum class BddReorder : std::uint8_t { kOff = 0, kSift = 1, kSiftConverge = 2 };
+enum class BddReorder : std::uint8_t { kOff = 0, kSift = 1 };
 
 /// Tunables for the unique table, computed cache and reordering machinery.
 /// The defaults reproduce the historical package exactly when

@@ -16,15 +16,12 @@ namespace syseco {
 namespace {
 
 /// Exact BDD of a cone over the given PI variable mapping; pins listed in
-/// `freePin` evaluate to `yRef` instead of their driving net. `netBdd` is
-/// caller-owned (cleared here) so a root provider can keep the in-flight
-/// cone live across reorders.
+/// `freePin` evaluate to `yRef` instead of their driving net.
 Bdd::Ref buildConeBdd(Bdd& mgr, const Netlist& nl, NetId root,
                       const std::unordered_map<std::uint32_t,
                                                std::uint32_t>& piVar,
-                      const Sink* freePin, Bdd::Ref yRef,
-                      std::unordered_map<NetId, Bdd::Ref>& netBdd) {
-  netBdd.clear();
+                      const Sink* freePin, Bdd::Ref yRef) {
+  std::unordered_map<NetId, Bdd::Ref> netBdd;
   for (GateId g : nl.coneGates({root})) {
     const auto& gate = nl.gate(g);
     std::vector<Bdd::Ref> in;
@@ -38,9 +35,6 @@ Bdd::Ref buildConeBdd(Bdd& mgr, const Netlist& nl, NetId root,
         const auto& net = nl.net(f);
         SYSECO_CHECK(net.srcKind == Netlist::SourceKind::Input);
         v = mgr.var(piVar.at(net.srcIdx));
-        // Memoized immediately: the map doubles as the root provider's
-        // frontier, and a bare variable ref held only in `in` would be
-        // detached by a reorder at the next operation boundary.
         netBdd.emplace(f, v);
       }
       if (freePin && freePin->gate == g &&
@@ -49,9 +43,7 @@ Bdd::Ref buildConeBdd(Bdd& mgr, const Netlist& nl, NetId root,
       }
       in.push_back(v);
     }
-    // Pinned so a reorder at any operation boundary keeps the partial live
-    // (it is reachable from no provider-visible root until committed).
-    Bdd::ScopedRef r(mgr, Bdd::kFalse);
+    Bdd::Ref r = Bdd::kFalse;
     switch (gate.type) {
       case GateType::Const0: r = Bdd::kFalse; break;
       case GateType::Const1: r = Bdd::kTrue; break;
@@ -124,26 +116,12 @@ EcoResult runExactFix(const Netlist& impl, const Netlist& spec,
     if (support.size() <= options.maxSupport &&
         cone.size() <= options.maxConeGates) {
       try {
-        // Variable layout: one BDD var per support PI, plus y last.
+        // Variable layout: one BDD var per support PI, plus y last. The
+        // manager keeps identity order: the ISOP cover, and so the patch
+        // shape, depends on the variable order.
         BddConfig bddCfg;
         bddCfg.nodeLimit = options.bddNodeLimit;
-        bddCfg.reorder = options.bddReorder;
-        if (options.bddCacheBits != 0) {
-          bddCfg.cacheBits = options.bddCacheBits;
-          bddCfg.maxCacheBits =
-              std::max(bddCfg.maxCacheBits, options.bddCacheBits);
-        }
-        if (options.bddReorderThreshold != 0)
-          bddCfg.reorderThreshold = options.bddReorderThreshold;
         Bdd mgr(static_cast<std::uint32_t>(support.size()) + 1, bddCfg);
-        // Reorder roots: the in-flight cone build plus the spec function
-        // held across the per-pin loop.
-        std::unordered_map<NetId, Bdd::Ref> frontier;
-        std::vector<Bdd::Ref> held;
-        mgr.setRootProvider([&](std::vector<Bdd::Ref>& roots) {
-          for (const auto& [net, ref] : frontier) roots.push_back(ref);
-          roots.insert(roots.end(), held.begin(), held.end());
-        });
         std::unordered_map<std::uint32_t, std::uint32_t> piVar;
         for (std::uint32_t i = 0; i < support.size(); ++i)
           piVar.emplace(support[i], i);
@@ -157,11 +135,8 @@ EcoResult runExactFix(const Netlist& impl, const Netlist& spec,
           if (iw != kNullId && piVar.count(iw))
             specPiVar.emplace(pi, piVar.at(iw));
         }
-        const Bdd::Ref fPrime =
-            buildConeBdd(mgr, spec, spec.outputNet(op), specPiVar, nullptr,
-                         Bdd::kFalse, frontier);
-        held.push_back(fPrime);
-        frontier.clear();
+        const Bdd::Ref fPrime = buildConeBdd(mgr, spec, spec.outputNet(op),
+                                             specPiVar, nullptr, Bdd::kFalse);
 
         // Candidate pins: every sink pin in the cone (bounded), plus the
         // output itself.
@@ -176,32 +151,17 @@ EcoResult runExactFix(const Netlist& impl, const Netlist& spec,
 
         for (const Sink& pin : pins) {
           ++diag.pinsTried;
-          // Cross-operation temporaries are pinned: a reorder firing at
-          // any operation boundary in this block must keep them live.
-          Bdd::ScopedRef h(mgr, Bdd::kFalse);
-          if (pin.isOutput()) {
-            h = mgr.var(yVar);
-          } else {
-            // The free-pin literal must survive the cone build's operation
-            // boundaries, so pin it before handing it in.
-            Bdd::ScopedRef yRef(mgr, Bdd::kFalse);
-            yRef = mgr.var(yVar);
-            h = buildConeBdd(mgr, w, w.outputNet(o), piVar, &pin, yRef,
-                             frontier);
-            frontier.clear();
-          }
-          Bdd::ScopedRef A(mgr, Bdd::kFalse);
-          Bdd::ScopedRef B(mgr, Bdd::kFalse);
-          A = mgr.cofactor(h, yVar, true);
-          A = mgr.bXnor(A, fPrime);
-          B = mgr.cofactor(h, yVar, false);
-          B = mgr.bXnor(B, fPrime);
+          const Bdd::Ref y = mgr.var(yVar);
+          const Bdd::Ref h =
+              pin.isOutput()
+                  ? y
+                  : buildConeBdd(mgr, w, w.outputNet(o), piVar, &pin, y);
+          const Bdd::Ref A = mgr.bXnor(mgr.cofactor(h, yVar, true), fPrime);
+          const Bdd::Ref B = mgr.bXnor(mgr.cofactor(h, yVar, false), fPrime);
           if (mgr.bOr(A, B) != Bdd::kTrue) continue;  // pin infeasible
 
           // Interval [L, U] = [!B, A]; synthesize an irredundant cover.
-          Bdd::ScopedRef lower(mgr, Bdd::kFalse);
-          lower = mgr.bNot(B);
-          const std::vector<BddCube> cover = mgr.isop(lower, A);
+          const std::vector<BddCube> cover = mgr.isop(mgr.bNot(B), A);
           diag.coverCubes += cover.size();
           // Instantiate the two-level patch over the support inputs.
           std::vector<NetId> terms;

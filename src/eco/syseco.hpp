@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "bdd/bdd.hpp"
 #include "eco/patch.hpp"
 #include "netlist/netlist.hpp"
 #include "util/status.hpp"
@@ -78,23 +77,6 @@ struct ResumePlan {
   Netlist base;
 };
 
-/// How candidate rewiring nets are ranked before validation (§4.3).
-///  * kSharpSat: measured error-domain coverage - the satisfying fraction
-///    of each candidate's signature difference restricted to the error
-///    domain, computed by #SAT (Bdd::satCount) over the sampling-domain
-///    functions. Order-equivalent to kStructural on complete signatures
-///    (the fractions are the same measure the word-level heuristic
-///    approximates), so the default changes no verdicts; it also surfaces
-///    the measured fractions for diagnostics.
-///  * kStructural: the legacy word-level popcount heuristic.
-enum class RankMode : std::uint8_t { kStructural = 0, kSharpSat = 1 };
-
-/// Minato-Morreale ISOP patch minimization in the sweep phase.
-///  * kAuto: follow bddReorder - on unless the engine runs in its legacy
-///    bit-identical mode (bddReorder == kOff).
-///  * kOn / kOff: force.
-enum class PatchMinimize : std::uint8_t { kAuto = 0, kOn = 1, kOff = 2 };
-
 struct SysecoOptions {
   std::size_t numSamples = 64;       ///< sampling-domain size N
   int maxPoints = 3;                 ///< m: max rectification points per try
@@ -106,21 +88,6 @@ struct SysecoOptions {
   std::int64_t validationBudget = 500000;  ///< SAT conflicts per validation
   std::int64_t samplingBudget = 100000;    ///< SAT conflicts for sampling
   std::size_t bddNodeLimit = 1u << 22;
-
-  // --- BDD engine tuning ---------------------------------------------------
-  /// Dynamic variable reordering (sifting) for the monolithic-cone BDD
-  /// managers. The engine's own sampling-domain managers always keep
-  /// identity order (sample-index variables carry no structure for
-  /// sifting); the knob governs the certification oracle's BDD route,
-  /// which inherits it unless OracleOptions overrides. kOff restores the
-  /// pre-reordering engine bit-for-bit (node creation order, budget trip
-  /// points, governor charges) and switches PatchMinimize::kAuto off, so
-  /// `--bdd-reorder=off` reproduces legacy verdict records exactly.
-  BddReorder bddReorder = BddReorder::kSift;
-  std::uint32_t bddCacheBits = 0;       ///< computed-cache 2^bits; 0 = default
-  std::size_t bddReorderThreshold = 0;  ///< auto-reorder arm point; 0 = default
-  RankMode rankMode = RankMode::kSharpSat;
-  PatchMinimize minimizePatch = PatchMinimize::kAuto;
 
   bool useErrorDomainSampling = true;  ///< ablation B: error vs uniform
   bool useUtilityHeuristic = true;     ///< ablation C: utility ranking

@@ -364,11 +364,6 @@ void writeFailureReport(const std::string& reportPath,
                "[--max-points M]\n"
                "          [--deadline-ms MS] [--total-conflict-budget N] "
                "[--bdd-node-budget N]\n"
-               "          [--bdd-reorder off|sift|sift-converge] "
-               "[--bdd-cache-bits N]\n"
-               "          [--bdd-reorder-threshold N] "
-               "[--rank structural|sharpsat]\n"
-               "          [--patch-minimize auto|on|off]\n"
                "          [--level-driven] [--uniform-sampling] [--no-sweep]"
                "\n          [--jobs N] [--isolate] [--isolate-max-attempts N]"
                " [--isolate-mem-mb N]\n"
@@ -432,9 +427,6 @@ int main(int argc, char** argv) {
   int fleetConnectTimeoutMs = 2000;
   int fleetMinWorkers = 1;
   SysecoOptions opt;
-  // The exact-fix baseline keeps reordering off unless the user asks: its
-  // ISOP patch shapes depend on the variable order.
-  bool bddReorderSet = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -470,36 +462,6 @@ int main(int argc, char** argv) {
         opt.totalConflictBudget = std::stoll(value());
       else if (arg == "--bdd-node-budget")
         opt.totalBddNodeBudget = std::stoll(value());
-      else if (arg == "--bdd-reorder") {
-        const std::string mode = value();
-        if (mode == "off") opt.bddReorder = BddReorder::kOff;
-        else if (mode == "sift") opt.bddReorder = BddReorder::kSift;
-        else if (mode == "sift-converge")
-          opt.bddReorder = BddReorder::kSiftConverge;
-        else throw std::invalid_argument(
-            "expected off|sift|sift-converge, got '" + mode + "'");
-        bddReorderSet = true;
-      }
-      else if (arg == "--bdd-cache-bits")
-        opt.bddCacheBits = static_cast<std::uint32_t>(std::stoul(value()));
-      else if (arg == "--bdd-reorder-threshold")
-        opt.bddReorderThreshold =
-            static_cast<std::size_t>(std::stoull(value()));
-      else if (arg == "--rank") {
-        const std::string mode = value();
-        if (mode == "structural") opt.rankMode = RankMode::kStructural;
-        else if (mode == "sharpsat") opt.rankMode = RankMode::kSharpSat;
-        else throw std::invalid_argument(
-            "expected structural|sharpsat, got '" + mode + "'");
-      }
-      else if (arg == "--patch-minimize") {
-        const std::string mode = value();
-        if (mode == "auto") opt.minimizePatch = PatchMinimize::kAuto;
-        else if (mode == "on") opt.minimizePatch = PatchMinimize::kOn;
-        else if (mode == "off") opt.minimizePatch = PatchMinimize::kOff;
-        else throw std::invalid_argument("expected auto|on|off, got '" +
-                                         mode + "'");
-      }
       else if (arg == "--level-driven") opt.levelDriven = true;
       else if (arg == "--uniform-sampling") opt.useErrorDomainSampling = false;
       else if (arg == "--no-sweep") opt.enableSweeping = false;
@@ -637,10 +599,12 @@ int main(int argc, char** argv) {
   // process fault site in daemon, batch, agent and engine modes is armed
   // from the first syscall. Exec'd workers inherit SYSECO_FAULT_PLAN and
   // arm themselves the same way (minus entries already consumed through
-  // the .fired log).
+  // the .fired log). A malformed one-shot or plan fails closed here.
   if (!faultPlanPath.empty())
     ::setenv("SYSECO_FAULT_PLAN", faultPlanPath.c_str(), 1);
-  if (const Status s = fault::loadFaultPlanFromEnv(); !s.isOk()) {
+  for (const Status& s :
+       {fault::checkFaultInjectEnv(), fault::loadFaultPlanFromEnv()}) {
+    if (s.isOk()) continue;
     std::fprintf(stderr, "error: %s\n", s.toString().c_str());
     return kExitInvalidInput;
   }
@@ -1072,9 +1036,6 @@ int main(int argc, char** argv) {
     } else if (engine == "exactfix") {
       ExactFixOptions x;
       x.seed = opt.seed;
-      if (bddReorderSet) x.bddReorder = opt.bddReorder;
-      x.bddCacheBits = opt.bddCacheBits;
-      x.bddReorderThreshold = opt.bddReorderThreshold;
       result = runExactFix(impl, spec, x);
     } else if (engine == "interpfix") {
       InterpFixOptions x;

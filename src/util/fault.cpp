@@ -72,7 +72,8 @@ Injector& Injector::instance() {
 }
 
 Injector::Injector() {
-  if (const char* env = std::getenv("SYSECO_FAULT_INJECT")) configure(env);
+  if (const char* env = std::getenv("SYSECO_FAULT_INJECT"))
+    configure(env, &envBadClause_);
 }
 
 void Injector::arm(std::string site, Kind kind, std::uint64_t skip,
@@ -195,8 +196,12 @@ std::optional<Fired> Injector::fireDetail(std::string_view site) {
   return Fired{due->kind, due->arg};
 }
 
-bool Injector::configure(std::string_view spec) {
+bool Injector::configure(std::string_view spec, std::string* badClause) {
   bool allOk = true;
+  auto reject = [&](std::string_view clause) {
+    if (allOk && badClause != nullptr) *badClause = std::string(clause);
+    allOk = false;
+  };
   std::size_t pos = 0;
   while (pos <= spec.size()) {
     std::size_t comma = spec.find(',', pos);
@@ -207,7 +212,7 @@ bool Injector::configure(std::string_view spec) {
 
     const std::size_t eq = clause.find('=');
     if (eq == std::string_view::npos || eq == 0) {
-      allOk = false;
+      reject(clause);
       continue;
     }
     std::string_view kindPart = clause.substr(eq + 1);
@@ -217,7 +222,7 @@ bool Injector::configure(std::string_view spec) {
       const std::string_view skipPart = kindPart.substr(at + 1);
       kindPart = kindPart.substr(0, at);
       if (skipPart.empty()) {
-        allOk = false;
+        reject(clause);
         continue;
       }
       skip = 0;
@@ -230,13 +235,13 @@ bool Injector::configure(std::string_view spec) {
         skip = skip * 10 + static_cast<std::uint64_t>(c - '0');
       }
       if (!digits) {
-        allOk = false;
+        reject(clause);
         continue;
       }
     }
     const std::optional<Kind> kind = kindFromName(kindPart);
     if (!kind) {
-      allOk = false;
+      reject(clause);
       continue;
     }
     arm(std::string(clause.substr(0, eq)), *kind, skip);

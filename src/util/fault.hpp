@@ -151,8 +151,13 @@ class Injector {
   }
 
   /// Parses the environment syntax; returns false (and arms nothing from
-  /// the bad clause) on a malformed clause.
-  bool configure(std::string_view spec);
+  /// the bad clause) on a malformed clause. `badClause`, when given,
+  /// receives the first malformed clause.
+  bool configure(std::string_view spec, std::string* badClause = nullptr);
+
+  /// First malformed clause of SYSECO_FAULT_INJECT as parsed at
+  /// construction; empty when the variable was unset or well-formed.
+  const std::string& envBadClause() const { return envBadClause_; }
 
   /// Durable one-shot consumption log: when set, a firing one-shot trigger
   /// appends "<skip> <site> <kind>\n" to `path` (O_APPEND, fsync'd) BEFORE
@@ -170,6 +175,7 @@ class Injector {
   /// site -> hits observed (shared by every trigger on the site).
   std::vector<std::pair<std::string, std::uint64_t>> siteHits_;
   std::string fireLogPath_;
+  std::string envBadClause_;
   std::atomic<std::size_t> armedCount_{0};
 };
 

@@ -252,4 +252,11 @@ Status loadFaultPlanFromEnv() {
   return applyFaultPlan(plan.value(), path);
 }
 
+Status checkFaultInjectEnv() {
+  const std::string& bad = Injector::instance().envBadClause();
+  if (bad.empty()) return Status::ok();
+  return Status::invalidInput("SYSECO_FAULT_INJECT: malformed clause '" + bad +
+                              "' (expected <site>=<kind>[@<skip>])");
+}
+
 }  // namespace syseco::fault

@@ -92,4 +92,9 @@ Status applyFaultPlan(const FaultPlan& plan, const std::string& planPath);
 /// into a false-green reference run.
 Status loadFaultPlanFromEnv();
 
+/// The same fail-closed rule for the one-shot SYSECO_FAULT_INJECT syntax:
+/// an error naming the first malformed clause (a misspelled kind would
+/// otherwise run fault-free and pass), ok when unset or well-formed.
+Status checkFaultInjectEnv();
+
 }  // namespace syseco::fault

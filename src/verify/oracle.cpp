@@ -177,13 +177,10 @@ RouteResult CertificationOracle::bddRoute(std::uint32_t o, std::uint32_t op,
   }
   BddConfig cfg;
   cfg.nodeLimit = opt_.bddNodeBudget;
-  cfg.reorder = opt_.bddReorder;
-  if (opt_.bddCacheBits != 0) {
-    cfg.cacheBits = opt_.bddCacheBits;
-    cfg.maxCacheBits = std::max(cfg.maxCacheBits, opt_.bddCacheBits);
-  }
-  if (opt_.bddReorderThreshold != 0)
-    cfg.reorderThreshold = opt_.bddReorderThreshold;
+  // Always sift: monolithic output cones at identity order are exactly
+  // where dynamic reordering pays, and the verdict is order-independent (a
+  // cone either completes - same function - or trips the node budget).
+  cfg.reorder = BddReorder::kSift;
   Bdd mgr(numVars, cfg);
   // Reorder roots: the in-progress cone frontier plus every finished
   // function still held across the remaining operations.

@@ -67,14 +67,6 @@ struct OracleOptions {
   std::size_t bddNodeBudget = 1u << 20;  ///< fresh-manager node limit
   std::int64_t satConflictBudget = -1;   ///< -1 = unbounded (exact route)
   std::uint64_t seed = 1;  ///< all oracle randomness derives from this
-  /// BDD-route engine tuning. Sifting is on by default: monolithic output
-  /// cones at identity order are exactly where dynamic reordering pays,
-  /// and the route's verdict is order-independent (a cone either completes
-  /// - same function - or trips the same node budget). `kOff` restores the
-  /// identity-order engine bit-for-bit.
-  BddReorder bddReorder = BddReorder::kSift;
-  std::uint32_t bddCacheBits = 0;       ///< 0 = engine default
-  std::size_t bddReorderThreshold = 0;  ///< 0 = engine default
 };
 
 /// Per-output certification record, one per (impl output, spec output) pair.

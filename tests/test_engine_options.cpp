@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "eco/syseco.hpp"
 #include "gen/eco_case.hpp"
 
@@ -88,6 +92,35 @@ TEST(EngineOptions, DifferentSeedsAllVerify) {
     EXPECT_TRUE(runSyseco(c.impl, c.spec, o).success) << "seed " << seed;
   }
 }
+
+// The sweep always rewrites added patch cones as ISOP covers when that is
+// strictly smaller. On these suite cases the rewrite fires at the default
+// options (eco08's patch drops from 28 to 7 gates), so a sweep that stops
+// calling the minimizer shows up here.
+class SweepIsop : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SweepIsop, RewritesAPatchConeAtDefaultOptions) {
+  const std::string name = GetParam();
+  const std::vector<CaseRecipe> suite = suiteRecipes();
+  const auto it =
+      std::find_if(suite.begin(), suite.end(),
+                   [&](const CaseRecipe& r) { return r.name == name; });
+  ASSERT_NE(it, suite.end());
+  const EcoCase c = makeCase(*it);
+  SysecoOptions o;
+  o.oracle.enabled = false;
+  SysecoDiagnostics diag;
+  const EcoResult res = runSyseco(c.impl, c.spec, o, &diag);
+  EXPECT_TRUE(res.success);
+  EXPECT_GE(diag.isopRewrites, 1u);
+  EXPECT_GE(diag.isopGatesSaved, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuiteCases, SweepIsop, ::testing::Values("eco08", "eco02"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
 }  // namespace syseco
