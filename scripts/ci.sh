@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gauntlet, one stage after another:
 #   release-tests    Release build + full test suite
-#   asan             ASan+UBSan build + hostile-input (sanitize) suite
+#   asan             ASan+UBSan build + hostile-input (sanitize) suite and
+#                    the BDD package tests
 #   tsan             ThreadSanitizer build + the same labeled suite
 #   bench-smoke      scripts/bench.sh --quick + JSON schema validation
 #   perf-smoke       that bench gated against the committed BENCH_e2e.json
@@ -57,6 +58,9 @@ echo "=== Sanitizer build (ASan+UBSan) + robustness suite ==="
 cmake -B "$ROOT/build-ci-asan" -S "$ROOT" -DSYSECO_SANITIZE=address
 cmake --build "$ROOT/build-ci-asan" -j "$JOBS"
 ctest --test-dir "$ROOT/build-ci-asan" --output-on-failure -j "$JOBS" -L sanitize
+# The BDD package's tests carry no label, but its in-place level swaps and
+# arena bookkeeping are exactly what ASan+UBSan should see.
+"$ROOT/build-ci-asan/tests/syseco_tests" --gtest_filter='Bdd*'
 
 end_stage
 begin_stage tsan

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "util/check.hpp"
 
@@ -113,10 +114,23 @@ void Bdd::unlinkFromTable(std::uint32_t var, Ref node) {
   --t.count;
 }
 
-void Bdd::linkIntoTable(std::uint32_t var, Ref node) {
+void Bdd::linkRewritten(std::uint32_t var, Ref node) {
   SubTable& t = tables_[var];
-  const std::size_t idx =
-      pairHash(nodes_[node].lo, nodes_[node].hi) & (t.buckets.size() - 1);
+  const Ref lo = nodes_[node].lo, hi = nodes_[node].hi;
+  const std::size_t idx = pairHash(lo, hi) & (t.buckets.size() - 1);
+  // A dead node left out of order by an earlier swap may hold this triple
+  // now that the order came back; unlink it so the triple stays unique.
+  for (Ref* slot = &t.buckets[idx]; *slot != kNil;
+       slot = &nodes_[*slot].next) {
+    const Ref p = *slot;
+    if (nodes_[p].lo == lo && nodes_[p].hi == hi) {
+      SYSECO_CHECK(liveRefs_[p] == 0);
+      *slot = nodes_[p].next;
+      nodes_[p].next = kNil;
+      --t.count;
+      break;
+    }
+  }
   nodes_[node].next = t.buckets[idx];
   t.buckets[idx] = node;
   ++t.count;
@@ -209,7 +223,7 @@ Bdd::Ref Bdd::iteRec(Ref f, Ref g, Ref h) {
 Bdd::Ref Bdd::andMany(const std::vector<Ref>& fs) {
   // The accumulator lives across operation boundaries, so it must be
   // pinned: an auto-reorder firing before the next bAnd could otherwise
-  // detach it (it is reachable from no caller-held root).
+  // leave it out of order (it is reachable from no caller-held root).
   ScopedRef acc(*this, kTrue);
   for (Ref f : fs) acc = bAnd(acc, f);
   return acc;
@@ -503,101 +517,136 @@ std::size_t Bdd::reorderNow(const std::vector<Ref>& roots) {
   return runReorder(roots);
 }
 
-void Bdd::incRef(Ref r) {
-  if (r <= 1) return;
-  if (liveRefs_.size() < nodes_.size()) liveRefs_.resize(nodes_.size(), 0);
-  std::vector<Ref> stack{r};
+bool Bdd::invariantsHold(const std::vector<Ref>& roots) const {
+  for (std::uint32_t v = 0; v < numVars_; ++v) {
+    const SubTable& t = tables_[v];
+    std::unordered_set<std::uint64_t> triples;
+    std::size_t count = 0;
+    for (Ref b : t.buckets) {
+      for (Ref p = b; p != kNil; p = nodes_[p].next, ++count) {
+        if (nodes_[p].var != v) return false;
+        const std::uint64_t key =
+            (std::uint64_t{nodes_[p].lo} << 32) | nodes_[p].hi;
+        if (!triples.insert(key).second) return false;
+      }
+    }
+    if (count != t.count) return false;
+  }
+  std::vector<Ref> stack = roots;
+  for (Ref r : pinned_)
+    if (r != kNil) stack.push_back(r);
+  std::unordered_set<Ref> seen;
   while (!stack.empty()) {
     const Ref p = stack.back();
     stack.pop_back();
-    if (p <= 1) continue;
-    if (liveRefs_[p]++ == 0) {
-      ++liveSize_;
-      // A node coming alive contributes one reference to each child.
-      stack.push_back(nodes_[p].lo);
-      stack.push_back(nodes_[p].hi);
+    if (p <= 1 || !seen.insert(p).second) continue;
+    const Node& n = nodes_[p];
+    if (n.var >= numVars_ || n.lo == n.hi) return false;
+    if (topLevel(n.lo) <= level_[n.var] || topLevel(n.hi) <= level_[n.var])
+      return false;
+    // p must be what makeNode answers for its triple.
+    const SubTable& t = tables_[n.var];
+    Ref q = t.buckets[pairHash(n.lo, n.hi) & (t.buckets.size() - 1)];
+    while (q != kNil && !(nodes_[q].lo == n.lo && nodes_[q].hi == n.hi))
+      q = nodes_[q].next;
+    if (q != p) return false;
+    stack.push_back(n.lo);
+    stack.push_back(n.hi);
+  }
+  return true;
+}
+
+void Bdd::incRef(Ref r) {
+  if (r <= 1 || liveRefs_[r]++ != 0) return;  // already live
+  // r came alive: it now holds one reference on each child.
+  refStack_.assign(1, r);
+  while (!refStack_.empty()) {
+    const Ref p = refStack_.back();
+    refStack_.pop_back();
+    ++liveSize_;
+    if (!listed_[p]) {
+      listed_[p] = 1;
+      liveList_[nodes_[p].var].push_back(p);
     }
+    for (const Ref c : {nodes_[p].lo, nodes_[p].hi})
+      if (c > 1 && liveRefs_[c]++ == 0) refStack_.push_back(c);
   }
 }
 
 void Bdd::decRef(Ref r) {
-  if (r <= 1) return;
-  std::vector<Ref> stack{r};
-  while (!stack.empty()) {
-    const Ref p = stack.back();
-    stack.pop_back();
-    if (p <= 1) continue;
-    if (--liveRefs_[p] == 0) {
-      --liveSize_;
-      stack.push_back(nodes_[p].lo);
-      stack.push_back(nodes_[p].hi);
-    }
+  if (r <= 1 || --liveRefs_[r] != 0) return;  // stays live
+  // r died: release its references on its children. Its list entry stays
+  // until a swap walks that list.
+  refStack_.assign(1, r);
+  while (!refStack_.empty()) {
+    const Ref p = refStack_.back();
+    refStack_.pop_back();
+    --liveSize_;
+    for (const Ref c : {nodes_[p].lo, nodes_[p].hi})
+      if (c > 1 && --liveRefs_[c] == 0) refStack_.push_back(c);
   }
 }
 
 void Bdd::swapLevels(std::uint32_t l) {
   const std::uint32_t x = varAtLevel_[l];
   const std::uint32_t y = varAtLevel_[l + 1];
-  auto liveCount = [&](Ref r) {
-    return r < liveRefs_.size() ? liveRefs_[r] : 0u;
-  };
 
-  // Only x-nodes whose children involve y are touched by the swap; all
-  // other triples remain properly ordered when the two levels flip.
-  std::vector<Ref> pending;
-  for (Ref b : tables_[x].buckets) {
-    for (Ref p = b; p != kNil; p = nodes_[p].next) {
-      if (topVar(nodes_[p].lo) == y || topVar(nodes_[p].hi) == y)
-        pending.push_back(p);
-    }
-  }
-
-  // Phase A - allocation only, no mutation, so a budget trip mid-swap
-  // leaves the manager consistent. A live rewritten node still depends on
-  // x afterwards, and no pre-existing y-node can depend on x (x was above
-  // it), so the rewritten triple can never collide with a table-resident
-  // node: the node keeps its Ref and its function without forwarding.
+  // Only live x-nodes whose children involve y are touched by the swap;
+  // all other triples remain properly ordered when the two levels flip.
+  // The walk compacts x's live list: entries that died are dropped, the
+  // untouched nodes keep the front and the nodes to rewrite go to the
+  // tail, where they stay listed until phase B moves them onto y.
   struct Rewrite {
     Ref node, g0, g1;
   };
   std::vector<Rewrite> rewrites;
-  std::vector<Ref> detach;
-  rewrites.reserve(pending.size());
-  for (Ref p : pending) {
-    if (liveCount(p) == 0) {
-      // Dead node whose triple would violate the new order: unlink it in
-      // phase B instead of spending allocations restructuring garbage.
-      detach.push_back(p);
+  std::vector<Ref>& xs = liveList_[x];
+  stats_.swapVisits += xs.size();
+  std::size_t kept = 0;
+  for (const Ref p : xs) {
+    if (liveRefs_[p] == 0) {
+      listed_[p] = 0;
       continue;
     }
-    const Node n = nodes_[p];  // by value: makeNode may reallocate nodes_
+    if (topVar(nodes_[p].lo) == y || topVar(nodes_[p].hi) == y)
+      rewrites.push_back(Rewrite{p, kNil, kNil});
+    else
+      xs[kept++] = p;
+  }
+  xs.resize(kept + rewrites.size());
+  for (std::size_t i = 0; i < rewrites.size(); ++i)
+    xs[kept + i] = rewrites[i].node;
+
+  // Phase A - allocation only, no mutation, so a budget trip mid-swap
+  // leaves the manager consistent.
+  for (Rewrite& rw : rewrites) {
+    const Node n = nodes_[rw.node];  // by value: makeNode may reallocate
     const bool loY = topVar(n.lo) == y;
     const bool hiY = topVar(n.hi) == y;
     const Ref f00 = loY ? nodes_[n.lo].lo : n.lo;
     const Ref f01 = loY ? nodes_[n.lo].hi : n.lo;
     const Ref f10 = hiY ? nodes_[n.hi].lo : n.hi;
     const Ref f11 = hiY ? nodes_[n.hi].hi : n.hi;
-    const Ref g0 = makeNode(x, f00, f10);
-    const Ref g1 = makeNode(x, f01, f11);
-    rewrites.push_back(Rewrite{p, g0, g1});
+    rw.g0 = makeNode(x, f00, f10);
+    rw.g1 = makeNode(x, f01, f11);
+  }
+  xs.resize(kept);
+  if (liveRefs_.size() < nodes_.size()) {
+    liveRefs_.resize(nodes_.size(), 0);
+    listed_.resize(nodes_.size(), 0);
   }
 
   // Phase B - mutation only, no allocation that can trip a budget.
   for (const Rewrite& rw : rewrites) unlinkFromTable(x, rw.node);
-  for (Ref p : detach) {
-    unlinkFromTable(x, p);
-    nodes_[p].var = kDetachedVar;
-  }
   for (const Rewrite& rw : rewrites) {
     const Node old = nodes_[rw.node];
     incRef(rw.g0);
     incRef(rw.g1);
     nodes_[rw.node] = Node{y, rw.g0, rw.g1, kNil};
-    if (liveAtVar_.size() > y) {
-      --liveAtVar_[x];
-      ++liveAtVar_[y];
-    }
-    linkIntoTable(y, rw.node);
+    --liveAtVar_[x];
+    ++liveAtVar_[y];
+    liveList_[y].push_back(rw.node);
+    linkRewritten(y, rw.node);
     decRef(old.lo);
     decRef(old.hi);
   }
@@ -681,17 +730,21 @@ std::size_t Bdd::runReorder(const std::vector<Ref>& roots) {
   inReorder_ = true;
   needReorder_ = false;
   liveRefs_.assign(nodes_.size(), 0);
-  liveAtVar_.assign(numVars_, 0);
+  listed_.assign(nodes_.size(), 0);
+  liveList_.assign(numVars_, {});
   liveSize_ = 0;
   struct Cleanup {
     Bdd& m;
     ~Cleanup() {
       m.liveRefs_.clear();
       m.liveRefs_.shrink_to_fit();
+      m.listed_.clear();
+      m.listed_.shrink_to_fit();
+      m.liveList_.clear();
       m.liveAtVar_.clear();
       m.liveSize_ = 0;
-      // Detached nodes may linger in cache slots; a flush makes every
-      // cached triple trivially safe under the new order.
+      // Cache slots may name dead nodes a swap left out of order; a flush
+      // makes every cached triple trivially safe under the new order.
       m.flushCache();
       m.inReorder_ = false;
       m.needReorder_ = false;
@@ -704,13 +757,13 @@ std::size_t Bdd::runReorder(const std::vector<Ref>& roots) {
     }
   } cleanup{*this};
 
+  // Ref-counting the live subgraph lists each live node under its var.
   for (Ref r : roots) incRef(r);
   for (Ref r : pinned_)
     if (r != kNil) incRef(r);
-  for (Ref p = 2; p < nodes_.size(); ++p) {
-    if (liveRefs_[p] != 0 && nodes_[p].var != kDetachedVar)
-      ++liveAtVar_[nodes_[p].var];
-  }
+  liveAtVar_.resize(numVars_);
+  for (std::uint32_t v = 0; v < numVars_; ++v)
+    liveAtVar_[v] = liveList_[v].size();
   std::vector<std::uint32_t> vars(numVars_);
   for (std::uint32_t v = 0; v < numVars_; ++v) vars[v] = v;
 

@@ -20,18 +20,35 @@
 // adjacent-level swap that never invalidates an outstanding Ref.
 //
 // Reordering in an append-only arena. Nodes are never freed, so a swap of
-// adjacent levels x (upper) and y (lower) rewrites each x-node whose
+// adjacent levels x (upper) and y (lower) rewrites each live x-node whose
 // children involve y *in place*: the node keeps its Ref and its function,
-// only its (var, lo, hi) triple changes. Canonicity survives without
-// forwarding pointers because a rewritten node still depends on x, and no
-// pre-existing y-node can depend on x (x was above it), so the rewritten
-// triple cannot collide with a table-resident node. The one thing sifting
-// needs that an arena cannot provide is a notion of *live* size - without
-// it the table only ever grows and every sift position looks worse than the
+// only its (var, lo, hi) triple changes. The one thing sifting needs that
+// an arena cannot provide is a notion of *live* size - without it the
+// table only ever grows and every sift position looks worse than the
 // starting one. Callers therefore register a root provider (the refs they
 // still hold); reordering ref-counts the live subgraph from those roots and
 // uses live size as the sift objective. Without a provider, auto-reorder
 // stays disarmed and reorderNow() is the explicit entry point.
+//
+// Sifting costs what the live graph costs, not what the arena holds. The
+// ref-count pass lists every live node once under its variable; a swap
+// walks the upper variable's list instead of its whole subtable, dropping
+// entries that died since they were listed, and a node that comes alive or
+// is rewritten onto y is appended to its variable's list. Dead nodes are
+// never visited, and a dead x-node whose children involve y stays in x's
+// subtable with a triple that is out of order once the levels flip. That
+// is safe: no live node reaches it (the root provider reported every
+// holder), and makeNode only returns a node for a well-ordered triple a
+// caller asked for, so the stale node is never handed out while it is out
+// of order. Leaving dead nodes in place also lets makeNode reuse them when
+// the order comes back.
+//
+// Canonicity survives without forwarding pointers. A rewritten node still
+// depends on x, so no *live* y-node can hold its new triple (x was above
+// every y-node). A dead y-node can: one left out of order by an earlier
+// swap of the same pair becomes well ordered again now. A swap therefore
+// unlinks such a dead holder from y's subtable before linking the
+// rewritten node, so no two subtable nodes ever share a triple.
 
 #include <cstdint>
 #include <functional>
@@ -103,6 +120,7 @@ struct BddStats {
   std::uint64_t uniqueHits = 0;  ///< makeNode calls answered by dedup
   std::uint64_t reorders = 0;
   std::uint64_t swaps = 0;       ///< adjacent-level swaps executed
+  std::uint64_t swapVisits = 0;  ///< nodes the swaps examined
   std::size_t peakNodes = 0;
   std::uint32_t cacheBitsNow = 0;
 
@@ -147,9 +165,10 @@ class Bdd {
 
   /// RAII pin for a single Ref across public operations. While reordering
   /// is armed, a Ref the root provider cannot see (a fold accumulator, a
-  /// temporary carried between two calls) may be detached at the next
-  /// operation boundary; a ScopedRef keeps it live. With reordering off
-  /// the pin is free bookkeeping. Movable, not copyable.
+  /// temporary carried between two calls) counts as dead at the next
+  /// operation boundary, and a swap may leave it out of order; a ScopedRef
+  /// keeps it live. With reordering off the pin is free bookkeeping.
+  /// Movable, not copyable.
   class ScopedRef {
    public:
     ScopedRef(Bdd& m, Ref r = kFalse) : m_(&m), slot_(m.pinRef(r)) {}
@@ -182,6 +201,12 @@ class Bdd {
   /// Variable at level l.
   std::uint32_t varAt(std::uint32_t l) const { return varAtLevel_[l]; }
 
+  /// Structural self-check for tests: no two nodes of a unique subtable
+  /// share a triple, and every node reachable from `roots` (or a
+  /// ScopedRef) is its triple's table entry with both children at deeper
+  /// levels. Walks the whole arena; not for hot paths.
+  bool invariantsHold(const std::vector<Ref>& roots) const;
+
   // --- Literals -------------------------------------------------------------
   Ref var(std::uint32_t v);
   Ref nvar(std::uint32_t v);
@@ -194,7 +219,7 @@ class Bdd {
   Ref bNot(Ref a) { return ite(a, kFalse, kTrue); }
   // Out-of-line: these chain two ite calls, and the intermediate !b must
   // not cross a public operation boundary unprotected (an auto-reorder
-  // firing at the second ite's entry would detach it).
+  // firing at the second ite's entry could leave it out of order).
   Ref bXor(Ref a, Ref b);
   Ref bXnor(Ref a, Ref b);
   Ref bImp(Ref a, Ref b) { return ite(a, b, kTrue); }
@@ -251,11 +276,6 @@ class Bdd {
   Ref mintermOf(std::uint32_t index, const std::vector<std::uint32_t>& vars);
 
  private:
-  /// var value marking a node unlinked from the unique table by reordering
-  /// (a dead node whose triple would violate the new order). Unreachable
-  /// from any live Ref when the root provider reported all holders.
-  static constexpr std::uint32_t kDetachedVar = 0xFFFFFFFFu;
-
   struct Node {
     std::uint32_t var;
     Ref lo;
@@ -308,7 +328,7 @@ class Bdd {
   Ref makeNode(std::uint32_t var, Ref lo, Ref hi);
   void growSubTable(std::uint32_t var);
   void unlinkFromTable(std::uint32_t var, Ref node);
-  void linkIntoTable(std::uint32_t var, Ref node);
+  void linkRewritten(std::uint32_t var, Ref node);
 
   std::uint32_t topVar(Ref f) const {
     return f <= 1 ? numVars_ : nodes_[f].var;
@@ -370,9 +390,15 @@ class Bdd {
   bool needReorder_ = false;
   bool inReorder_ = false;
   int opDepth_ = 0;
-  /// Live-subgraph reference counts, valid only while inReorder_.
-  std::vector<std::uint32_t> liveRefs_;
-  std::vector<std::size_t> liveAtVar_;  ///< live nodes per var (reorder only)
+  // Reorder-only state, valid while inReorder_.
+  std::vector<std::uint32_t> liveRefs_;  ///< live-subgraph reference counts
+  /// Per-variable live lists: every live node has exactly one entry, in its
+  /// variable's list; entries of nodes that died linger until a swap walks
+  /// the list. listed_[p] says whether p currently has an entry.
+  std::vector<std::vector<Ref>> liveList_;
+  std::vector<std::uint8_t> listed_;
+  std::vector<Ref> refStack_;           ///< incRef/decRef worklist
+  std::vector<std::size_t> liveAtVar_;  ///< live nodes per var
   std::size_t liveSize_ = 0;
 };
 

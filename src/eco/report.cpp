@@ -85,7 +85,8 @@ void writeRunReport(std::ostream& os, const std::string& engine,
        << ", \"cache_bits\": " << c.bddStats.cacheBitsNow
        << ", \"cache_hit_rate\": " << c.bddStats.cacheHitRate()
        << ", \"reorders\": " << c.bddStats.reorders
-       << ", \"swaps\": " << c.bddStats.swaps << "}}";
+       << ", \"swaps\": " << c.bddStats.swaps
+       << ", \"swap_visits\": " << c.bddStats.swapVisits << "}}";
   }
   os << "]},\n";
   os << "  \"outputs\": [";

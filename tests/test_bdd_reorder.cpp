@@ -283,5 +283,129 @@ TEST(BddReorder, CompositeOpsSurviveAggressiveAutoReorder) {
   EXPECT_GT(mgr.stats().reorders, 0u);
 }
 
+TEST(BddReorder, SwapWorkIgnoresGarbage) {
+  // Two managers hold the same roots; one first builds and drops a large
+  // random pool. Sifting must cost what the live graph costs: the swaps
+  // of both managers examine (within 10 %) the same number of nodes, no
+  // matter how much dead weight the garbage manager's arena carries.
+  const std::uint32_t n = 12;
+  auto buildRoots = [&](Bdd& mgr) {
+    Bdd::Ref f = Bdd::kTrue;
+    for (std::uint32_t i = 0; i < n / 2; ++i)
+      f = mgr.bAnd(f, mgr.bXnor(mgr.var(i), mgr.var(n / 2 + i)));
+    Bdd::Ref g = Bdd::kFalse;
+    for (std::uint32_t i = 0; i + 1 < n; i += 2)
+      g = mgr.bOr(g, mgr.bAnd(mgr.var(i), mgr.var(i + 1)));
+    return std::vector<Bdd::Ref>{f, g, mgr.bXor(f, g)};
+  };
+  Bdd clean(n);
+  Bdd dirty(n);
+  const auto cleanRoots = buildRoots(clean);
+  Rng rng(11);
+  buildRandomPool(dirty, rng, 400);  // dropped: garbage from here on
+  const auto dirtyRoots = buildRoots(dirty);
+  ASSERT_GE(dirty.nodeCount() - clean.nodeCount(), 10 * clean.nodeCount())
+      << "not enough garbage";
+
+  const std::size_t cleanLive = clean.reorderNow(cleanRoots);
+  const std::size_t dirtyLive = dirty.reorderNow(dirtyRoots);
+  EXPECT_EQ(cleanLive, dirtyLive);
+  EXPECT_TRUE(clean.invariantsHold(cleanRoots));
+  EXPECT_TRUE(dirty.invariantsHold(dirtyRoots));
+  const double cleanVisits = static_cast<double>(clean.stats().swapVisits);
+  const double dirtyVisits = static_cast<double>(dirty.stats().swapVisits);
+  ASSERT_GT(cleanVisits, 0.0);
+  EXPECT_LE(dirtyVisits, 1.1 * cleanVisits);
+  EXPECT_GE(dirtyVisits, 0.9 * cleanVisits);
+  for (std::size_t i = 0; i < cleanRoots.size(); ++i)
+    EXPECT_EQ(truthOf(clean, cleanRoots[i]), truthOf(dirty, dirtyRoots[i]));
+}
+
+TEST(BddReorder, RandomReorderDifferential) {
+  // Random ops that keep dropping results (garbage for the arena) under
+  // a reorder at every operation boundary plus explicit reorderNow calls,
+  // against an identity-order reference. Every kept root must match its
+  // reference truth table, canonicity must stay exact (a XOR b is the
+  // constant false exactly when a and b are the same function), and the
+  // table invariants must hold after every reorder.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const std::uint32_t numVars = 6 + seed % 3;
+    BddConfig cfg;
+    cfg.reorder = BddReorder::kSift;
+    cfg.reorderThreshold = 1;
+    cfg.reorderGrowth = 1.0;  // re-arm immediately after every reorder
+    Bdd mgr(numVars, cfg);
+    Bdd ref(numVars);
+    std::vector<Bdd::Ref> pool, pref;
+    mgr.setRootProvider([&](std::vector<Bdd::Ref>& out) {
+      out.insert(out.end(), pool.begin(), pool.end());
+    });
+    for (std::uint32_t v = 0; v < numVars; ++v) {
+      pool.push_back(mgr.var(v));
+      pref.push_back(ref.var(v));
+    }
+    Rng rng(seed);
+    std::uint64_t reordersSeen = mgr.stats().reorders;
+    for (std::uint32_t step = 0; step < 120; ++step) {
+      const std::size_t a = rng.next() % pool.size();
+      const std::size_t b = rng.next() % pool.size();
+      const std::size_t c = rng.next() % pool.size();
+      Bdd::Ref r, rr;
+      switch (rng.next() % 4) {
+        case 0:
+          r = mgr.bAnd(pool[a], pool[b]);
+          rr = ref.bAnd(pref[a], pref[b]);
+          break;
+        case 1: {
+          // !b crosses an operation boundary: pin it.
+          Bdd::ScopedRef nb(mgr, mgr.bNot(pool[b]));
+          r = mgr.bOr(pool[a], nb);
+          rr = ref.bOr(pref[a], ref.bNot(pref[b]));
+          break;
+        }
+        case 2:
+          r = mgr.bXor(pool[a], pool[b]);
+          rr = ref.bXor(pref[a], pref[b]);
+          break;
+        default:
+          r = mgr.ite(pool[a], pool[b], pool[c]);
+          rr = ref.ite(pref[a], pref[b], pref[c]);
+          break;
+      }
+      // Keep one result in three; the rest become garbage at the next
+      // reorder. Past 24 roots, the oldest non-literal root is dropped.
+      if (rng.next() % 3 == 0) {
+        pool.push_back(r);
+        pref.push_back(rr);
+        if (pool.size() > numVars + 24) {
+          pool.erase(pool.begin() + numVars);
+          pref.erase(pref.begin() + numVars);
+        }
+      }
+      if (step % 17 == 0) mgr.reorderNow(pool);
+      if (mgr.stats().reorders != reordersSeen) {
+        reordersSeen = mgr.stats().reorders;
+        ASSERT_TRUE(mgr.invariantsHold(pool))
+            << "seed " << seed << " step " << step;
+      }
+    }
+    EXPECT_GT(mgr.stats().reorders, 10u);
+    std::vector<std::vector<bool>> tts;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      tts.push_back(truthOf(mgr, pool[i]));
+      EXPECT_EQ(tts.back(), truthOf(ref, pref[i]))
+          << "seed " << seed << " root " << i;
+    }
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      for (std::size_t j = i + 1; j < pool.size(); ++j) {
+        const Bdd::Ref x = mgr.bXor(pool[i], pool[j]);
+        EXPECT_EQ(x == Bdd::kFalse, tts[i] == tts[j])
+            << "seed " << seed << " roots " << i << "," << j;
+      }
+    }
+    EXPECT_TRUE(mgr.invariantsHold(pool));
+  }
+}
+
 }  // namespace
 }  // namespace syseco
