@@ -6,6 +6,10 @@
 #   tsan             ThreadSanitizer build + the same labeled suite
 #   bench-smoke      scripts/bench.sh --quick + JSON schema validation
 #   perf-smoke       that bench gated against the committed BENCH_e2e.json
+#   perfbench-correct
+#                    one short perfbench run per workload, which must match
+#                    perfbench/reference.json (digests, patch shape,
+#                    bdd_proved)
 #   kill-resume      a misspelled fault kind fails closed; then crash-inject
 #                    the CLI mid-run (simulated kill -9) and prove the
 #                    journal resumes to the uninterrupted report
@@ -140,6 +144,25 @@ print("perf smoke OK vs committed baseline "
       + ("(wall time + patch shape)" if gate_wall else "(patch shape only)"))
 PYEOF
 rm -f "$BENCH_JSON"
+
+end_stage
+begin_stage perfbench-correct
+echo "=== perfbench reference checks, every workload ==="
+# perfbench/run.py checks each case against perfbench/reference.json:
+# rectified-netlist digests, patch shape, verdict counts and bdd_proved.
+# A one-second run per workload (at least three iterations each) proves
+# the engine still reproduces them; the last stdout line is its verdict.
+for W in certify search parallel cli-isolate; do
+  LAST="$(cd "$ROOT" && python3 perfbench/run.py --workload "$W" \
+      --seconds 1 --trace 0 | tail -n 1)"
+  python3 - "$W" "$LAST" <<'PYEOF'
+import json, sys
+workload, last = sys.argv[1], json.loads(sys.argv[2])
+assert last["correct"] is True, f"perfbench {workload}: {last}"
+print(f"perfbench-correct: {workload} matches the reference "
+      f"({last['attempted']} case runs)")
+PYEOF
+done
 
 end_stage
 begin_stage kill-resume

@@ -81,7 +81,7 @@ Bdd::Ref Bdd::makeNode(std::uint32_t var, Ref lo, Ref hi) {
   t.buckets[idx] = r;
   ++t.count;
   if (nodes_.size() > stats_.peakNodes) stats_.peakNodes = nodes_.size();
-  if (t.count > 2 * t.buckets.size()) growSubTable(var);
+  if (t.overloaded()) growSubTable(var);
   if (nextReorderAt_ != 0 && nodes_.size() >= nextReorderAt_ && !inReorder_)
     needReorder_ = true;
   return r;
@@ -655,7 +655,7 @@ void Bdd::swapLevels(std::uint32_t l) {
   level_[x] = l + 1;
   level_[y] = l;
   ++stats_.swaps;
-  if (tables_[y].count > 2 * tables_[y].buckets.size()) growSubTable(y);
+  if (tables_[y].overloaded()) growSubTable(y);
 }
 
 void Bdd::siftVar(std::uint32_t v) {

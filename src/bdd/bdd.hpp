@@ -49,6 +49,15 @@
 // swap of the same pair becomes well ordered again now. A swap therefore
 // unlinks such a dead holder from y's subtable before linking the
 // rewritten node, so no two subtable nodes ever share a triple.
+//
+// Unique subtables are kept at most half loaded (more nodes than half the
+// buckets doubles the table, in makeNode and after a swap). Sifting calls
+// makeNode millions of times on tables that grow in bursts, and at a load
+// of two nodes per bucket those chain walks were most of a swap's cost.
+// Because a triple is held by at most one subtable node, whether makeNode
+// finds an existing node - and so every node it creates, every Ref, every
+// budget trip and every BddStats field - is independent of the bucket
+// count; only chain order and the buckets' memory change.
 
 #include <cstdint>
 #include <functional>
@@ -290,6 +299,9 @@ class Bdd {
   struct SubTable {
     std::vector<Ref> buckets;
     std::size_t count = 0;
+    /// The load limit (see the header comment): more nodes than half the
+    /// buckets doubles the table.
+    bool overloaded() const { return 2 * count > buckets.size(); }
   };
 
   struct CacheEntry {

@@ -25,7 +25,8 @@ void writeRunReport(std::ostream& os, const std::string& engine,
   // "seconds" above is wall clock; the per-phase numbers below are summed
   // across worker threads, so their total exceeds wall under --jobs N.
   os << "  \"cpu_seconds\": "
-     << (diag.secondsSampling + diag.secondsSymbolic + diag.secondsScreening +
+     << (diag.secondsDetection + diag.secondsSampling +
+         diag.secondsSymbolic + diag.secondsScreening +
          diag.secondsValidation + diag.secondsFallback + diag.secondsSweep +
          diag.secondsVerify)
      << ",\n";
@@ -36,7 +37,8 @@ void writeRunReport(std::ostream& os, const std::string& engine,
   os << "  \"budget\": {\"conflicts_used\": " << diag.conflictsUsed
      << ", \"bdd_nodes_used\": " << diag.bddNodesUsed << "},\n";
   os << "  \"phase_cpu_seconds\": {"
-     << "\"sampling\": " << diag.secondsSampling
+     << "\"detection\": " << diag.secondsDetection
+     << ", \"sampling\": " << diag.secondsSampling
      << ", \"symbolic\": " << diag.secondsSymbolic
      << ", \"screening\": " << diag.secondsScreening
      << ", \"validation\": " << diag.secondsValidation
@@ -63,9 +65,10 @@ void writeRunReport(std::ostream& os, const std::string& engine,
       }
   }
   os << "]},\n";
-  // Oracle certificates: per-output verdicts, deliberately timing-free so
-  // reports from --jobs/--isolate/--resume runs diff clean after the
-  // standard timing normalization.
+  // Oracle certificates: per-output verdicts plus per-route wall times.
+  // The only timing values sit under "seconds" keys, so reports from
+  // --jobs/--isolate/--resume runs diff clean after the standard timing
+  // normalization.
   os << "  \"oracle\": {\"enabled\": " << (oracleEnabled ? "true" : "false")
      << ", \"disagreements\": " << diag.oracleDisagreements.size()
      << ", \"outputs\": [";
@@ -86,7 +89,10 @@ void writeRunReport(std::ostream& os, const std::string& engine,
        << ", \"cache_hit_rate\": " << c.bddStats.cacheHitRate()
        << ", \"reorders\": " << c.bddStats.reorders
        << ", \"swaps\": " << c.bddStats.swaps
-       << ", \"swap_visits\": " << c.bddStats.swapVisits << "}}";
+       << ", \"swap_visits\": " << c.bddStats.swapVisits
+       << "}, \"timings\": {\"sat\": {\"seconds\": " << c.sat.seconds
+       << "}, \"bdd\": {\"seconds\": " << c.bdd.seconds
+       << "}, \"sim\": {\"seconds\": " << c.sim.seconds << "}}}";
   }
   os << "]},\n";
   os << "  \"outputs\": [";

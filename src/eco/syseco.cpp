@@ -206,6 +206,7 @@ class Engine {
       // Failing-output detection runs under the governor: outputs it cannot
       // confirm healthy in time are treated as failing, so they end up
       // provably correct via the fallback instead of silently unchecked.
+      Timer detection;
       std::vector<std::uint32_t> unresolved;
       failing =
           findFailingOutputs(w, spec_, rng_, -1, &rootGuard_, &unresolved);
@@ -217,6 +218,7 @@ class Engine {
       // backs the plan ordering below (the cone lists are precomputed).
       ownedBaseAnalysis_ = std::make_unique<NetlistAnalysis>(w);
       baseAnalysis_ = ownedBaseAnalysis_.get();
+      diag_.secondsDetection += detection.seconds();
 
       // Increasing logical complexity: smallest cones first (§5.2).
       std::sort(failing.begin(), failing.end(),
@@ -648,13 +650,19 @@ class Engine {
     // records are bit-identical across execution modes.
     oopt.seed = opt_.seed ^ 0x0bac1e5eedULL;
     CertificationOracle oracle(w, spec_, oopt);
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+    for (std::uint32_t o = 0; o < w.numOutputs(); ++o)
+      if (const std::uint32_t op = specOutput(o); op != kNullId)
+        pairs.emplace_back(o, op);
+    // One SAT pass over every pair proves the shared logic once; its
+    // encoding is freed before the first BDD route builds a manager.
+    const std::vector<RouteResult> satPass = oracle.satPass(pairs);
     bool allCertified = true;
     bool anyQuarantine = false;
     diag_.certificates.clear();
-    for (std::uint32_t o = 0; o < w.numOutputs(); ++o) {
-      const std::uint32_t op = specOutput(o);
-      if (op == kNullId) continue;
-      OutputCertificate cert = oracle.certify(o, op);
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto [o, op] = pairs[i];
+      OutputCertificate cert = oracle.certify(o, op, &satPass[i]);
       const bool refuted =
           cert.sat.verdict == RouteVerdict::kNotEquivalent ||
           cert.bdd.verdict == RouteVerdict::kNotEquivalent ||
@@ -3045,8 +3053,6 @@ Status validateSysecoOptions(const SysecoOptions& o) {
   if (o.oracle.simWords == 0) return invalid("oracle.simWords must be positive");
   if (o.oracle.bddNodeBudget == 0)
     return invalid("oracle.bddNodeBudget must be positive");
-  if (o.oracle.satConflictBudget != -1 && o.oracle.satConflictBudget <= 0)
-    return invalid("oracle.satConflictBudget must be -1 (unbounded) or positive");
   return Status::ok();
 }
 

@@ -136,11 +136,11 @@ struct SysecoOptions {
   // --- Certification oracle + invariant auditing --------------------------
   /// Tri-modal certification (verify/oracle.hpp) replaces the legacy
   /// single-route final verification: every label-matched output is
-  /// re-proven through SAT (fresh miter), BDD (within node budget) and
-  /// simulation, and a refuted output is quarantined to the cone-clone
-  /// fallback instead of shipped wrong. `oracle.enabled = false` reverts
-  /// to the legacy SAT-only check. Neither the oracle knobs nor the audit
-  /// level shape the search, so - like the isolate knobs - they are
+  /// re-proven through SAT (oracle-private miters), BDD (within a node
+  /// budget) and simulation, and a refuted output is quarantined to the
+  /// cone-clone fallback instead of shipped wrong. `oracle.enabled = false`
+  /// reverts to the legacy SAT-only check. Neither the oracle knobs nor the
+  /// audit level shape the search, so - like the isolate knobs - they are
   /// excluded from the resume fingerprint.
   OracleOptions oracle;
   /// Where oracle disagreements are packaged as atomic repro bundles
@@ -290,6 +290,7 @@ struct SysecoDiagnostics {
   std::size_t isopRewrites = 0;  ///< patch cones rebuilt as two-level covers
   std::size_t isopGatesSaved = 0;  ///< net gate reduction from those rewrites
   // Phase timing (seconds).
+  double secondsDetection = 0.0;   ///< failing-output detection + analysis
   double secondsSampling = 0.0;    ///< error-sample enumeration + rechecks
   double secondsSymbolic = 0.0;    ///< H(t) / Xi(c) BDD work + ranking
   double secondsScreening = 0.0;   ///< simulation screens of choices

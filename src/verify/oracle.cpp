@@ -117,7 +117,7 @@ RouteResult CertificationOracle::satRoute(std::uint32_t o, std::uint32_t op,
   Rng rng(opt_.seed ^ 0x5a7c3c0de0ULL ^
           (0x9e3779b97f4a7c15ULL * (o + 1)));
   const Solver::Result verdict =
-      pe.solveDiffSwept(o, op, opt_.satConflictBudget, rng);
+      pe.solveDiffSwept(o, op, /*conflictBudget=*/-1, rng);
   switch (verdict) {
     case Solver::Result::Unsat:
       result.verdict = RouteVerdict::kEquivalent;
@@ -135,6 +135,34 @@ RouteResult CertificationOracle::satRoute(std::uint32_t o, std::uint32_t op,
   }
   result.seconds = secondsSince(start);
   return result;
+}
+
+std::vector<RouteResult> CertificationOracle::satPass(
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs) {
+  std::vector<RouteResult> results(pairs.size());
+  // One oracle-private encoding for the whole pass: internal equivalences
+  // its sweep proves for one cone are reused by every later cone. It
+  // shares nothing with the search, nor with the per-output route's
+  // encodings (its own seed), and dies here, before any BDD route runs.
+  PairEncoding pe(impl_, spec_);
+  Rng rng(opt_.seed ^ 0x5a7c9a55e5ULL);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const Clock::time_point start = Clock::now();
+    switch (pe.solveDiffSwept(pairs[i].first, pairs[i].second,
+                              /*conflictBudget=*/-1, rng)) {
+      case Solver::Result::Unsat:
+        results[i].verdict = RouteVerdict::kEquivalent;
+        break;
+      case Solver::Result::Sat:
+        results[i].verdict = RouteVerdict::kNotEquivalent;
+        break;
+      case Solver::Result::Unknown:
+        results[i].verdict = RouteVerdict::kSkippedBudget;
+        break;
+    }
+    results[i].seconds = secondsSince(start);
+  }
+  return results;
 }
 
 RouteResult CertificationOracle::bddRoute(std::uint32_t o, std::uint32_t op,
@@ -323,12 +351,21 @@ RouteResult CertificationOracle::simRoute(std::uint32_t o, std::uint32_t op,
 }
 
 OutputCertificate CertificationOracle::certify(std::uint32_t o,
-                                               std::uint32_t op) {
+                                               std::uint32_t op,
+                                               const RouteResult* pass) {
   OutputCertificate cert;
   cert.output = o;
   cert.name = impl_.outputName(o);
   InputPattern satCex, bddCex, simCex;
-  cert.sat = satRoute(o, op, &satCex);
+  if (pass != nullptr && pass->verdict == RouteVerdict::kEquivalent) {
+    cert.sat = *pass;
+  } else {
+    // Anything the pass did not prove is re-derived on a fresh encoding,
+    // so its verdict, detail and counterexample are the per-output
+    // route's own.
+    cert.sat = satRoute(o, op, &satCex);
+    if (pass != nullptr) cert.sat.seconds += pass->seconds;
+  }
   cert.bdd = bddRoute(o, op, &bddCex, &cert.bddStats);
   cert.sim = simRoute(o, op, &simCex);
 

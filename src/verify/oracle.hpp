@@ -7,9 +7,18 @@
 // re-proves every committed patch through three *independent* routes and
 // cross-checks their verdicts:
 //
-//  1. SAT: combinational equivalence on a freshly re-encoded miter (a new
-//     PairEncoding per output - no solver state, learned clauses or
-//     variable numbering shared with the search).
+//  1. SAT: combinational equivalence on re-encoded miters that share no
+//     solver state, learned clauses or variable numbering with the search.
+//     A run certifies many outputs whose cones share logic, so satPass()
+//     solves every output pair once on one oracle-private, SAT-swept
+//     PairEncoding (its own seed; freed before it returns): internal
+//     equivalences common to several cones are proven once, not once per
+//     output. An output the pass proves is `equivalent`. Every other
+//     output - and every re-certification after a quarantine - runs the
+//     per-output route on a fresh encoding, so a refutation's verdict,
+//     detail and counterexample are re-derived exactly as without the
+//     pass. Both encodings are unbounded, hence exact: they cannot
+//     disagree on a verdict, only on which one pays for it.
 //  2. BDD: both output cones built monolithically over label-correlated
 //     input variables in a fresh manager; equivalence is XOR == false.
 //     When the node budget trips mid-build, the route reports
@@ -26,6 +35,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -65,7 +75,6 @@ struct OracleOptions {
   std::size_t simWords = 8;        ///< mass-random pass: 64*simWords patterns
   std::size_t simDirectedMax = 64; ///< directed patterns per output (cap)
   std::size_t bddNodeBudget = 1u << 20;  ///< fresh-manager node limit
-  std::int64_t satConflictBudget = -1;   ///< -1 = unbounded (exact route)
   std::uint64_t seed = 1;  ///< all oracle randomness derives from this
 };
 
@@ -110,9 +119,23 @@ class CertificationOracle {
   CertificationOracle(const Netlist& impl, const Netlist& spec,
                       const OracleOptions& options);
 
+  /// Runs the SAT route once over every (impl output, spec output) pair
+  /// on one shared swept encoding, freed before returning. Returns one
+  /// result per pair: `equivalent` when the pass proved it, else
+  /// `not-equivalent` (or `skipped(budget)` should the solver stop), each
+  /// with that output's own solve time. Deterministic in (netlists,
+  /// options, pairs).
+  std::vector<RouteResult> satPass(
+      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs);
+
   /// Certifies impl output `o` against spec output `op` (label-matched by
-  /// the caller). Deterministic in (netlists, options).
-  OutputCertificate certify(std::uint32_t o, std::uint32_t op);
+  /// the caller). With `pass` (this pair's satPass() result), a proved
+  /// pair's SAT route is taken from the pass; otherwise the fresh
+  /// per-output SAT route runs and `sat.seconds` adds the pass's solve
+  /// time. Deterministic in (netlists, options); the certificate's
+  /// verdicts, details and counterexample do not depend on `pass`.
+  OutputCertificate certify(std::uint32_t o, std::uint32_t op,
+                            const RouteResult* pass = nullptr);
 
   /// Maps an impl-input pattern to the spec's input order by label; spec
   /// inputs with no impl counterpart read 0.

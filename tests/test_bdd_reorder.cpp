@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -404,6 +405,96 @@ TEST(BddReorder, RandomReorderDifferential) {
       }
     }
     EXPECT_TRUE(mgr.invariantsHold(pool));
+  }
+}
+
+/// Node-creation fingerprint of one auto-reorder workload.
+struct CreationPin {
+  std::size_t nodeCount, peakNodes;
+  std::uint64_t uniqueHits, swaps, swapVisits;
+};
+
+/// RandomReorderDifferential's op mix (without the reference manager):
+/// random AND/OR-NOT/XOR/ITE over a pool that keeps one result in three,
+/// auto-reorder armed at `threshold`, an explicit reorderNow every 17
+/// steps. Deterministic in its arguments.
+CreationPin runCreationWorkload(std::uint64_t seed, std::uint32_t numVars,
+                                std::uint32_t steps, std::size_t threshold,
+                                double growth, std::size_t maxKept) {
+  BddConfig cfg;
+  cfg.reorder = BddReorder::kSift;
+  cfg.reorderThreshold = threshold;
+  cfg.reorderGrowth = growth;
+  Bdd mgr(numVars, cfg);
+  std::vector<Bdd::Ref> pool;
+  mgr.setRootProvider([&](std::vector<Bdd::Ref>& out) {
+    out.insert(out.end(), pool.begin(), pool.end());
+  });
+  for (std::uint32_t v = 0; v < numVars; ++v) pool.push_back(mgr.var(v));
+  Rng rng(seed);
+  for (std::uint32_t step = 0; step < steps; ++step) {
+    const std::size_t a = rng.next() % pool.size();
+    const std::size_t b = rng.next() % pool.size();
+    const std::size_t c = rng.next() % pool.size();
+    Bdd::Ref r;
+    switch (rng.next() % 4) {
+      case 0: r = mgr.bAnd(pool[a], pool[b]); break;
+      case 1: {
+        Bdd::ScopedRef nb(mgr, mgr.bNot(pool[b]));
+        r = mgr.bOr(pool[a], nb);
+        break;
+      }
+      case 2: r = mgr.bXor(pool[a], pool[b]); break;
+      default: r = mgr.ite(pool[a], pool[b], pool[c]); break;
+    }
+    if (rng.next() % 3 == 0) {
+      pool.push_back(r);
+      if (pool.size() > numVars + maxKept) pool.erase(pool.begin() + numVars);
+    }
+    if (step % 17 == 0) mgr.reorderNow(pool);
+  }
+  const BddStats& s = mgr.stats();
+  return {mgr.nodeCount(), s.peakNodes, s.uniqueHits, s.swaps, s.swapVisits};
+}
+
+TEST(BddReorder, NodeCreationIsPinned) {
+  // The unique table's bucket count and load limit are performance
+  // choices: node creation, dedup hits and the reorder schedule must not
+  // move with them. The expected values were recorded with subtables
+  // grown at two nodes per bucket; a change that alters which nodes
+  // exist, or what sifting decides, shows up here as a mismatch.
+  struct Case {
+    std::uint64_t seed;
+    std::uint32_t numVars, steps;
+    std::size_t threshold;
+    double growth;
+    std::size_t maxKept;
+    CreationPin want;
+  };
+  const Case cases[] = {
+      // RandomReorderDifferential's seeds and settings.
+      {1, 7, 120, 1, 1.0, 24, {845, 845, 54171, 8134, 95330}},
+      {2, 8, 120, 1, 1.0, 24, {376, 376, 22029, 11642, 62724}},
+      {3, 6, 120, 1, 1.0, 24, {437, 437, 26040, 5649, 48789}},
+      {4, 7, 120, 1, 1.0, 24, {660, 660, 38405, 8965, 74566}},
+      {5, 8, 120, 1, 1.0, 24, {492, 492, 24461, 12272, 69469}},
+      {6, 6, 120, 1, 1.0, 24, {641, 641, 38207, 6014, 64417}},
+      {7, 7, 120, 1, 1.0, 24, {820, 820, 25425, 7462, 49827}},
+      {8, 8, 120, 1, 1.0, 24, {1083, 1083, 42704, 12314, 96945}},
+      // Wider managers whose subtables grow many times over.
+      {1, 14, 600, 256, 2.0, 48, {194016, 194016, 1184915, 11808, 1831858}},
+      {2, 16, 600, 256, 2.0, 48, {235657, 235657, 1271175, 14979, 2177844}},
+  };
+  for (const Case& c : cases) {
+    const CreationPin got = runCreationWorkload(
+        c.seed, c.numVars, c.steps, c.threshold, c.growth, c.maxKept);
+    SCOPED_TRACE("seed " + std::to_string(c.seed) + ", " +
+                 std::to_string(c.numVars) + " vars");
+    EXPECT_EQ(got.nodeCount, c.want.nodeCount);
+    EXPECT_EQ(got.uniqueHits, c.want.uniqueHits);
+    EXPECT_EQ(got.peakNodes, c.want.peakNodes);
+    EXPECT_EQ(got.swaps, c.want.swaps);
+    EXPECT_EQ(got.swapVisits, c.want.swapVisits);
   }
 }
 

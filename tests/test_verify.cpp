@@ -1,8 +1,8 @@
 // Certification oracle, invariant auditor and repro bundles: the tri-modal
-// re-proof of every committed patch (SAT on a fresh miter, BDD within a
-// node budget, mass + directed simulation), the structural audits at
-// engine phase boundaries, and the atomic evidence bundles written when a
-// route refutes a patch the engine believed in.
+// re-proof of every committed patch (SAT on oracle-private miters, BDD
+// within a node budget, mass + directed simulation), the structural audits
+// at engine phase boundaries, and the atomic evidence bundles written when
+// a route refutes a patch the engine believed in.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +13,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eco/resume.hpp"
 #include "eco/syseco.hpp"
+#include "gen/eco_case.hpp"
 #include "io/blif_io.hpp"
 #include "io/journal_io.hpp"
 #include "netlist/netlist.hpp"
@@ -444,6 +446,73 @@ TEST_F(VerifyTest, WrongPatchFaultIsCaughtQuarantinedAndBundled) {
       Netlist::restoreRawString(slurp(d.bundleDir + "/impl_patched.raw"));
   ASSERT_TRUE(bundledImpl.isOk());
   EXPECT_EQ(bundledImpl.value().numOutputs(), impl.numOutputs());
+}
+
+TEST_F(VerifyTest, PassSatVerdictsMatchFreshEncodings) {
+  // A generated case run with oracle.wrong-patch armed: the repro bundle
+  // holds the exact netlist the oracle certified, one output complemented.
+  CaseRecipe recipe;
+  recipe.name = "pass";
+  recipe.spec = SpecParams{3, 6, 3, 2, 5, 4, 3, 3};
+  recipe.mutations = 2;
+  recipe.targetRevisedFraction = 0.25;
+  recipe.optRounds = 2;
+  recipe.seed = 21;
+  const EcoCase c = makeCase(recipe);
+  fault::Injector::instance().arm("oracle.wrong-patch",
+                                  fault::Kind::kWrongPatch);
+  SysecoOptions opt;
+  opt.reproDir = testDir("passsat");
+  SysecoDiagnostics diag;
+  ASSERT_TRUE(runSyseco(c.impl, c.spec, opt, &diag).success);
+  ASSERT_EQ(diag.oracleDisagreements.size(), 1u);
+  const std::uint32_t victim = diag.oracleDisagreements[0].output;
+  Result<Netlist> corrupted = Netlist::restoreRawString(
+      slurp(diag.oracleDisagreements[0].bundleDir + "/impl_patched.raw"));
+  ASSERT_TRUE(corrupted.isOk());
+  const Netlist& impl = corrupted.value();
+
+  // Certify every output through the shared pass and through the fresh
+  // per-output route alone: the certificates must not tell them apart.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+  for (std::uint32_t o = 0; o < impl.numOutputs(); ++o)
+    if (const std::uint32_t op = c.spec.findOutput(impl.outputName(o));
+        op != kNullId)
+      pairs.emplace_back(o, op);
+  ASSERT_GT(pairs.size(), 1u);
+  OracleOptions oopt;
+  oopt.seed = 7;
+  CertificationOracle viaPass(impl, c.spec, oopt);
+  CertificationOracle fresh(impl, c.spec, oopt);
+  const std::vector<RouteResult> pass = viaPass.satPass(pairs);
+  ASSERT_EQ(pass.size(), pairs.size());
+  bool sawVictim = false;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [o, op] = pairs[i];
+    const OutputCertificate a = viaPass.certify(o, op, &pass[i]);
+    const OutputCertificate b = fresh.certify(o, op);
+    SCOPED_TRACE(b.name);
+    EXPECT_EQ(pass[i].verdict, b.sat.verdict);
+    EXPECT_EQ(a.sat.verdict, b.sat.verdict);
+    EXPECT_EQ(a.bdd.verdict, b.bdd.verdict);
+    EXPECT_EQ(a.sim.verdict, b.sim.verdict);
+    EXPECT_EQ(a.sat.detail, b.sat.detail);
+    EXPECT_EQ(a.bdd.detail, b.bdd.detail);
+    EXPECT_EQ(a.sim.detail, b.sim.detail);
+    EXPECT_EQ(a.certified, b.certified);
+    EXPECT_EQ(a.routesConflict, b.routesConflict);
+    EXPECT_EQ(a.cex, b.cex);
+    EXPECT_EQ(a.cexDeviations, b.cexDeviations);
+    EXPECT_EQ(a.cexReproduced, b.cexReproduced);
+    // The pass's solve time is charged to the output either way.
+    EXPECT_GE(a.sat.seconds, pass[i].seconds);
+    if (o != victim) continue;
+    sawVictim = true;
+    EXPECT_EQ(b.sat.verdict, RouteVerdict::kNotEquivalent);
+    EXPECT_FALSE(b.certified);
+    EXPECT_FALSE(b.cex.empty());
+  }
+  EXPECT_TRUE(sawVictim);
 }
 
 TEST_F(VerifyTest, CleanRunWithoutReproDirStillQuarantinesWrongPatch) {
