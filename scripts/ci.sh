@@ -10,9 +10,9 @@
 #                    one short perfbench run per workload, which must match
 #                    perfbench/reference.json (digests, patch shape,
 #                    bdd_proved)
-#   kill-resume      a misspelled fault kind fails closed; then crash-inject
-#                    the CLI mid-run (simulated kill -9) and prove the
-#                    journal resumes to the uninterrupted report
+#   kill-resume      a fault plan with a misspelled kind fails closed; then
+#                    crash-inject the CLI mid-run (simulated kill -9) and
+#                    prove the journal resumes to the uninterrupted report
 #   isolation-matrix crash/OOM/hang/garble one worker subprocess per run
 #                    and prove the supervisor contains it
 #   verify-oracle    certify the example suite under paranoid audits, inject
@@ -27,6 +27,9 @@
 #                    bit-identical artifacts
 #   chaos-soak       seeded storage-fault schedules over every execution
 #                    mode (ASan build) all heal to the reference verdicts
+# Every injected fault comes from a fault plan file (util/fault_plan.hpp)
+# written by plan() and armed with SYSECO_FAULT_PLAN=FILE, or sent to the
+# daemon with --submit-fault FILE.
 # Run from anywhere; builds land in build-ci/, build-ci-asan/ and
 # build-ci-tsan/.
 set -euo pipefail
@@ -171,19 +174,23 @@ CLI="$ROOT/build-ci/src/tools/syseco_cli"
 SMOKE="$(mktemp -d)"  # removed by the on_exit trap
 IMPL="$ROOT/data/alu_impl.blif"
 SPEC="$ROOT/data/alu_spec.blif"
+# plan FILE ENTRY...: write a fault plan, one "from <skip> <site> <kind>"
+# (persistent) or "at <hit> <site> <kind>" (one-shot) entry per line.
+plan() { local file="$1"; shift; printf '%s\n' "$@" > "$file"; }
 
-# A misspelled fault kind must fail closed (exit 3, naming the clause)
-# before the run starts; accepted silently, a typo in the crash loop below
-# would run fault-free and pass without ever crashing.
+# A misspelled fault kind must fail closed (exit 3, naming the plan line
+# and kind) before the run starts; accepted silently, a typo in the crash
+# loop below would run fault-free and pass without ever crashing.
+plan "$SMOKE/typo.plan" "from 0 journal.checkpoint crsh"
 set +e
-SYSECO_FAULT_INJECT="journal.checkpoint=crsh" \
+SYSECO_FAULT_PLAN="$SMOKE/typo.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" --journal "$SMOKE/typo" \
     > "$SMOKE/typo.log" 2>&1
 rc=$?
 set -e
 [ "$rc" -eq 3 ] || { echo "misspelled fault kind: expected exit 3, got $rc"; exit 1; }
-grep -q "'journal.checkpoint=crsh'" "$SMOKE/typo.log" \
-    || { echo "misspelled fault kind: clause not named"; cat "$SMOKE/typo.log"; exit 1; }
+grep -q "line 1: unknown fault kind 'crsh'" "$SMOKE/typo.log" \
+    || { echo "misspelled fault kind: line and kind not named"; cat "$SMOKE/typo.log"; exit 1; }
 [ ! -e "$SMOKE/typo" ] || { echo "misspelled fault kind: the run started"; exit 1; }
 
 "$CLI" --impl "$IMPL" --spec "$SPEC" --report "$SMOKE/ref.json" \
@@ -192,8 +199,10 @@ grep -q "'journal.checkpoint=crsh'" "$SMOKE/typo.log" \
 # Crash (std::_Exit(137), the honest kill -9) right after the first
 # checkpoint commits, then resume until the run completes; each resume may
 # crash again after one more output, so loop with a hard bound.
+plan "$SMOKE/crash0.plan" "from 0 journal.checkpoint crash"
+plan "$SMOKE/crash1.plan" "from 1 journal.checkpoint crash"
 set +e
-SYSECO_FAULT_INJECT="journal.checkpoint=crash" \
+SYSECO_FAULT_PLAN="$SMOKE/crash0.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" --journal "$SMOKE/j" \
     > "$SMOKE/crash.log" 2>&1
 rc=$?
@@ -202,7 +211,7 @@ set -e
 
 for round in 1 2 3 4 5 6 7 8; do
   set +e
-  SYSECO_FAULT_INJECT="journal.checkpoint=crash@1" \
+  SYSECO_FAULT_PLAN="$SMOKE/crash1.plan" \
       "$CLI" --impl "$IMPL" --spec "$SPEC" --resume "$SMOKE/j" \
       --report "$SMOKE/resumed.json" > "$SMOKE/resume$round.log" 2>&1
   rc=$?
@@ -251,8 +260,9 @@ for KIND in crash oom hang garbage-ipc; do
     oom)  WANT_CAUSE="oom";          WANT_LIMIT="budget-exhausted" ;;
     *)    WANT_CAUSE="$KIND";        WANT_LIMIT="internal" ;;
   esac
+  plan "$SMOKE/iso_$KIND.plan" "from 0 isolate.worker.o${VICTIM} ${KIND}"
   set +e
-  SYSECO_FAULT_INJECT="isolate.worker.o${VICTIM}=${KIND}" \
+  SYSECO_FAULT_PLAN="$SMOKE/iso_$KIND.plan" \
       "$CLI" --impl "$IMPL" --spec "$SPEC" --jobs 4 --isolate \
       --isolate-wall-ms 2000 --isolate-backoff-ms 1 --isolate-max-attempts 2 \
       --report "$SMOKE/iso_$KIND.json" > "$SMOKE/iso_$KIND.log" 2>&1
@@ -314,8 +324,9 @@ PYEOF
 # Miscompiled-patch injection: the oracle must catch the wrong patch,
 # quarantine it to the cone-clone fallback (exit 4) and package a repro
 # bundle with the minimized counterexample.
+plan "$SMOKE/wrong.plan" "from 0 oracle.wrong-patch wrong-patch"
 set +e
-SYSECO_FAULT_INJECT="oracle.wrong-patch=wrong-patch" \
+SYSECO_FAULT_PLAN="$SMOKE/wrong.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" --audit=paranoid \
     --repro-dir "$SMOKE/repro" --journal "$SMOKE/j_wrong" \
     --report "$SMOKE/oracle_wrong.json" > "$SMOKE/oracle_wrong.log" 2>&1
@@ -345,15 +356,15 @@ PYEOF
 # executed: in-process --jobs, --isolate subprocess workers, and a
 # crash-then---resume chain of the same injected run.
 set +e
-SYSECO_FAULT_INJECT="oracle.wrong-patch=wrong-patch" \
+SYSECO_FAULT_PLAN="$SMOKE/wrong.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" --jobs 4 --isolate \
     --journal "$SMOKE/j_wrong_iso" > "$SMOKE/oracle_iso.log" 2>&1
 [ $? -eq 4 ] || { echo "isolate wrong-patch: expected exit 4"; exit 1; }
-SYSECO_FAULT_INJECT="journal.checkpoint=crash" \
+SYSECO_FAULT_PLAN="$SMOKE/crash0.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" \
     --journal "$SMOKE/j_wrong_res" > /dev/null 2>&1
 [ $? -eq 137 ] || { echo "crash seed run: expected exit 137"; exit 1; }
-SYSECO_FAULT_INJECT="oracle.wrong-patch=wrong-patch" \
+SYSECO_FAULT_PLAN="$SMOKE/wrong.plan" \
     "$CLI" --impl "$IMPL" --spec "$SPEC" \
     --resume "$SMOKE/j_wrong_res" > "$SMOKE/oracle_res.log" 2>&1
 [ $? -eq 4 ] || { echo "resume wrong-patch: expected exit 4"; exit 1; }
@@ -387,6 +398,7 @@ echo "=== Daemon soak: SIGKILL mid-queue, recover, drain ==="
 # to an undisturbed one-shot run of the same case and seed.
 SERVE="$SMOKE/serve"
 mkdir -p "$SERVE"
+plan "$SERVE/crash.plan" "from 0 journal.checkpoint crash"
 for SEED in 1 2 3; do
   "$CLI" --impl "$IMPL" --spec "$SPEC" --seed "$SEED" \
       --journal "$SERVE/ref$SEED" --out "$SERVE/ref$SEED.blif" \
@@ -401,7 +413,7 @@ PORT="$(cat "$SERVE/port")"
 for SEED in 1 2 3; do
   "$CLI" --connect "127.0.0.1:$PORT" --impl "$IMPL" --spec "$SPEC" \
       --seed "$SEED" --detach \
-      --submit-fault "journal.checkpoint=crash@0" \
+      --submit-fault "$SERVE/crash.plan" \
       > "$SERVE/submit$SEED.log" 2>&1 \
       || { echo "submit $SEED rejected"; cat "$SERVE/submit$SEED.log"; exit 1; }
 done

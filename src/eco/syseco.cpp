@@ -632,8 +632,8 @@ class Engine {
   /// re-certified. The run only succeeds when every pair ends certified.
   void certifyRun() {
     Netlist& w = working();
-    // Deliberate-corruption site (SYSECO_FAULT_INJECT=oracle.wrong-patch=
-    // wrong-patch): silently complement the last committed output, the
+    // Deliberate-corruption site (plan entry `from 0 oracle.wrong-patch
+    // wrong-patch`): silently complement the last committed output, the
     // honest simulation of a miscompiled patch the search believed in. Runs
     // after sweep/finalize so nothing downstream can undo it, and picks its
     // victim from the committed reports, which are identical across --jobs,

@@ -596,7 +596,7 @@ std::string serializeServeEvent(const JournalServeEvent& r) {
      << ",\"bytes\":" << r.bytes << ",\"attempt\":" << r.attempt
      << ",\"exit_code\":" << r.exitCode << ",\"cause\":\""
      << jsonEscape(r.cause) << "\",\"detail\":\"" << jsonEscape(r.detail)
-     << "\",\"fault_inject\":\"" << jsonEscape(r.faultInject)
+     << "\",\"fault_plan\":\"" << jsonEscape(r.faultPlan)
      << "\",\"worker\":\"" << jsonEscape(r.worker)
      << "\",\"cache_hits\":" << r.cacheHits
      << ",\"cache_misses\":" << r.cacheMisses
@@ -624,13 +624,13 @@ Result<JournalServeEvent> parseServeEvent(std::string_view payload) {
         getI64(v, "attempt", &out.attempt) &&
         getI64(v, "exit_code", &out.exitCode) &&
         getString(v, "cause", &out.cause) &&
-        getString(v, "detail", &out.detail) &&
-        getString(v, "fault_inject", &out.faultInject)))
+        getString(v, "detail", &out.detail)))
     return Status::invalidInput("serve record: malformed fields");
-  // Input paths, worker and cache counters: absent keys parse as the
-  // defaults so WALs written before batch cases joined the queue still fold.
+  // Input paths, fault plan, worker and cache counters: absent keys parse
+  // as the defaults so WALs written by older drivers still fold.
   if ((v.find("impl") && !getString(v, "impl", &out.impl)) ||
       (v.find("spec") && !getString(v, "spec", &out.spec)) ||
+      (v.find("fault_plan") && !getString(v, "fault_plan", &out.faultPlan)) ||
       (v.find("worker") && !getString(v, "worker", &out.worker)) ||
       (v.find("cache_hits") && !getU64(v, "cache_hits", &out.cacheHits)) ||
       (v.find("cache_misses") &&

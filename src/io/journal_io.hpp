@@ -146,7 +146,7 @@ struct JournalServeEvent {
   std::int64_t exitCode = 0;    ///< worker exit code for done
   std::string cause;            ///< failure/cancel classification
   std::string detail;
-  std::string faultInject;      ///< test hook carried into the job's worker
+  std::string faultPlan;        ///< test hook: fault-plan text for the worker
   std::string worker;           ///< agent "host:port"; "" for the local pool
   /// Agent CaseCacheLru counters snapshotted at completion (done events of
   /// remote runs; zero for local ones).

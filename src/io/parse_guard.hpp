@@ -4,7 +4,8 @@
 // input becomes kInvalidInput with the parser's file/line diagnostic,
 // allocation failure becomes kInternal, and a StatusError passes its
 // payload through unchanged. Also hosts the parsers' fault-injection entry
-// points (sites "io.blif", "io.netlist", "io.verilog").
+// points (sites "io.blif", "io.netlist", "io.verilog"; e.g. the fault-plan
+// line `from 0 io.blif alloc`).
 
 #include <new>
 #include <stdexcept>

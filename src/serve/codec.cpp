@@ -108,7 +108,7 @@ std::string encodeSubmit(const SubmitRequest& r) {
   appendKv(os, "jobs", r.jobs, &first);
   appendKv(os, "isolate", r.isolate, &first);
   appendKv(os, "detach", r.detach, &first);
-  appendKv(os, "fault_inject", r.faultInject, &first);
+  appendKv(os, "fault_plan", r.faultPlan, &first);
   os << "}";
   return os.str();
 }
@@ -150,9 +150,9 @@ Result<SubmitRequest> decodeSubmit(std::string_view payload) {
   Result<bool> detach = getBool(doc, "detach", false);
   if (!detach.isOk()) return detach.status();
   r.detach = detach.take();
-  Result<std::string> fault = getString(doc, "fault_inject");
+  Result<std::string> fault = getString(doc, "fault_plan");
   if (!fault.isOk()) return fault.status();
-  r.faultInject = fault.take();
+  r.faultPlan = fault.take();
   return r;
 }
 

@@ -35,10 +35,10 @@ struct SubmitRequest {
   std::int64_t jobs = 1;   ///< worker threads for the job's engine run
   bool isolate = false;    ///< run the job's workers under --isolate
   bool detach = false;     ///< job survives the submitting connection
-  /// Test hook: SYSECO_FAULT_INJECT spec exported into the job's worker
-  /// process (empty = none). How the crash-recovery and self-healing tests
-  /// make a job die deterministically mid-run.
-  std::string faultInject;
+  /// Test hook: fault-plan text (util/fault_plan.hpp) the job's worker
+  /// runs under (empty = none). How the crash-recovery and self-healing
+  /// tests make a job die deterministically mid-run.
+  std::string faultPlan;
 };
 
 std::string encodeSubmit(const SubmitRequest& r);

@@ -49,7 +49,7 @@ void foldEvent(const JournalServeEvent& ev, std::vector<Job>& jobs,
     j.jobs = ev.jobs;
     j.isolate = ev.isolate;
     j.detach = ev.detach;
-    j.faultInject = ev.faultInject;
+    j.faultPlan = ev.faultPlan;
     j.bytes = ev.bytes;
     index[ev.job] = jobs.size();
     jobs.push_back(std::move(j));
@@ -101,7 +101,7 @@ JournalServeEvent eventFor(const std::string& event, const Job& job) {
   ev.exitCode = job.exitCode;
   ev.cause = job.cause;
   ev.detail = job.detail;
-  ev.faultInject = job.faultInject;
+  ev.faultPlan = job.faultPlan;
   ev.worker = job.worker;
   ev.cacheHits = job.cacheHits;
   ev.cacheMisses = job.cacheMisses;
@@ -264,7 +264,7 @@ Result<Job*> JobQueue::submit(const SubmitRequest& request) {
   job.jobs = request.jobs;
   job.isolate = request.isolate;
   job.detach = request.detach;
-  job.faultInject = request.faultInject;
+  job.faultPlan = request.faultPlan;
   job.bytes = request.implText.size() + request.specText.size();
 
   // Payload files first, WAL record second: a WAL submitted record
@@ -452,6 +452,10 @@ std::string JobQueue::verdictsPath(const Job& job) const {
 
 std::string JobQueue::workerLogPath(const Job& job) const {
   return jobDir(job.id) + "/worker.log";
+}
+
+std::string JobQueue::faultPlanPath(const Job& job) const {
+  return jobDir(job.id) + "/fault.plan";
 }
 
 }  // namespace syseco::serve

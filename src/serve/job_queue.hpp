@@ -68,7 +68,7 @@ struct Job {
   std::int64_t jobs = 1;
   bool isolate = false;
   bool detach = false;
-  std::string faultInject;   ///< test hook, propagated to the worker env
+  std::string faultPlan;     ///< test hook: fault-plan text for the worker
   std::uint64_t bytes = 0;   ///< impl+spec payload bytes (admission ledger)
   QueueState state = QueueState::kQueued;
   std::int64_t attempt = 0;  ///< dispatch ordinal (1 = first attempt)
@@ -167,6 +167,7 @@ class JobQueue {
   std::string outPath(const Job& job) const;
   std::string verdictsPath(const Job& job) const;
   std::string workerLogPath(const Job& job) const;
+  std::string faultPlanPath(const Job& job) const;
 
   const std::string& stateDir() const { return stateDir_; }
   const std::vector<std::string>& recoveryNotes() const {

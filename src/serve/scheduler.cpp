@@ -433,9 +433,9 @@ void Scheduler::tick() {
         it != notBefore_.end() && now < it->second)
       continue;  // still backing off; later queued jobs may proceed
     // Plain jobs ride the fleet while it is healthy; --isolate and
-    // fault-inject jobs always run on the local pool (their semantics are
+    // fault-plan jobs always run on the local pool (their semantics are
     // local by construction).
-    const bool fleetEligible = !job->isolate && job->faultInject.empty();
+    const bool fleetEligible = !job->isolate && job->faultPlan.empty();
     if (fleetEligible && !degraded_ && dispatcher_.hasIdlePeer() &&
         dispatchRemote(*job, now))
       continue;
@@ -486,11 +486,16 @@ void Scheduler::dispatchLocal(Job& job, double now) {
       "--jobs", std::to_string(job.jobs),
   };
   if (job.isolate) argv.push_back("--isolate");
+  // A job's fault plan replaces any plan the driver itself inherited.
   std::vector<std::string> env;
-  if (!job.faultInject.empty())
-    env.push_back("SYSECO_FAULT_INJECT=" + job.faultInject);
-  Status spawned = pool_.spawn(job.id, attempt, argv,
-                               queue_.workerLogPath(job), env);
+  Status spawned = Status::ok();
+  if (!job.faultPlan.empty()) {
+    spawned = writeFileAtomic(queue_.faultPlanPath(job), job.faultPlan);
+    env.push_back("SYSECO_FAULT_PLAN=" + queue_.faultPlanPath(job));
+  }
+  if (spawned.isOk())
+    spawned = pool_.spawn(job.id, attempt, argv, queue_.workerLogPath(job),
+                          env);
   if (!spawned.isOk()) {
     requeueOrQuarantine(job, "crash", "spawn failed: " + spawned.message(),
                         now);

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/fault_plan.hpp"
 #include "util/io_retry.hpp"
 #include "util/ipc.hpp"
 #include "util/socket.hpp"
@@ -36,6 +37,9 @@ std::string slurp(const std::string& path) {
 /// Admission-time payload validation with the checked parsers: a job that
 /// cannot parse must be rejected at the door, not dispatched to fail.
 Status validatePayload(const SubmitRequest& r) {
+  if (Result<fault::FaultPlan> plan = fault::parseFaultPlan(r.faultPlan);
+      !plan.isOk())
+    return plan.status();
   const std::pair<const char*, const std::string*> texts[] = {
       {"impl", &r.implText}, {"spec", &r.specText}};
   for (const auto& [name, text] : texts) {

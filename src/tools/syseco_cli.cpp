@@ -115,14 +115,10 @@
 //   --wait JOB          client: block until JOB finishes, then deliver
 //                       artifacts and exit with the job's verdict
 //   --cancel JOB        client: cancel JOB (terminates a running worker)
-//   --submit-fault SPEC client test hook: SYSECO_FAULT_INJECT spec exported
-//                       into the job's worker process
-//   --fault-plan FILE   chaos hook: load a seeded fault schedule (see
-//                       util/fault_plan.hpp for the `at <hit> <site>
-//                       <kind> [arg]` format) and export it via
-//                       SYSECO_FAULT_PLAN so exec'd workers inherit it.
-//                       One-shot firings are consumed through FILE.fired,
-//                       so a restarted process does not re-inject them.
+//   --submit-fault FILE client test hook: send FILE's fault plan (see
+//                       util/fault_plan.hpp) with the job; the daemon
+//                       rejects a malformed one as bad-request and runs
+//                       the job's worker under it
 //   --seed S            RNG seed                          (default 1)
 //   --journal DIR       crash-safe run journal: one checksummed record per
 //                       completed per-output rectification (syseco only)
@@ -142,12 +138,16 @@
 //   --version           print build info (git hash, compiler) and exit
 //   --verbose           trace the search to stderr
 //
+// Environment:
+//   SYSECO_FAULT_PLAN=FILE  arm the fault plan in FILE (util/fault_plan.hpp)
+//                       before any mode runs; exec'd workers inherit it
+//
 // Exit codes:
 //   0   rectification SAT-verified, no resource limit interfered
 //   1   verification failed
 //   2   usage error or internal failure (including a failed --audit)
-//   3   invalid input (unreadable/malformed file, nonsensical options,
-//       a journal recorded for different inputs)
+//   3   invalid input (unreadable/malformed file or fault plan,
+//       nonsensical options, a journal recorded for different inputs)
 //   4   rectification SAT-verified, but a resource limit degraded the
 //       search (some outputs fell back to cone cloning; see the report),
 //       or the certification oracle quarantined a refuted output
@@ -373,8 +373,7 @@ void writeFailureReport(const std::string& reportPath,
                "[--audit off|boundaries|paranoid]\n"
                "          [--no-oracle] [--oracle-bdd-budget N] "
                "[--repro-dir DIR]\n"
-               "          [--fault-plan FILE] [--seed S] [--version] "
-               "[--verbose]\n"
+               "          [--seed S] [--version] [--verbose]\n"
                "       %s --serve-worker PORT [--serve-once] "
                "[--serve-cache-slots N]\n"
                "          [--port-file FILE] [--verbose]\n"
@@ -416,8 +415,7 @@ int main(int argc, char** argv) {
   std::size_t servePool = 1;
   serve::AdmissionLimits serveLimits;
   int serveAttempts = 3;
-  std::string connectSpec, tenant = "default", submitFault;
-  std::string faultPlanPath;
+  std::string connectSpec, tenant = "default", submitFaultPath;
   std::string statusJob, waitJob, cancelJob;
   std::string batchManifest, batchStateDir;
   bool detach = false;
@@ -551,8 +549,7 @@ int main(int argc, char** argv) {
       else if (arg == "--status") statusJob = value();
       else if (arg == "--wait") waitJob = value();
       else if (arg == "--cancel") cancelJob = value();
-      else if (arg == "--submit-fault") submitFault = value();
-      else if (arg == "--fault-plan") faultPlanPath = value();
+      else if (arg == "--submit-fault") submitFaultPath = value();
       else if (arg == "--port-file") portFilePath = value();
       else if (arg == "--seed") opt.seed = std::stoull(value());
       else if (arg == "--journal") journalDir = value();
@@ -595,16 +592,12 @@ int main(int argc, char** argv) {
       return kExitInvalidInput;
     }
   }
-  // Chaos schedules load before any mode dispatch, so every storage and
+  // Fault plans load before any mode dispatch, so every storage and
   // process fault site in daemon, batch, agent and engine modes is armed
   // from the first syscall. Exec'd workers inherit SYSECO_FAULT_PLAN and
-  // arm themselves the same way (minus entries already consumed through
-  // the .fired log). A malformed one-shot or plan fails closed here.
-  if (!faultPlanPath.empty())
-    ::setenv("SYSECO_FAULT_PLAN", faultPlanPath.c_str(), 1);
-  for (const Status& s :
-       {fault::checkFaultInjectEnv(), fault::loadFaultPlanFromEnv()}) {
-    if (s.isOk()) continue;
+  // arm themselves the same way (minus one-shot entries already consumed
+  // through the .fired log). A malformed plan fails closed here.
+  if (Status s = fault::loadFaultPlanFromEnv(); !s.isOk()) {
     std::fprintf(stderr, "error: %s\n", s.toString().c_str());
     return kExitInvalidInput;
   }
@@ -802,7 +795,11 @@ int main(int argc, char** argv) {
       req.jobs = static_cast<std::int64_t>(opt.jobs);
       req.isolate = opt.isolate;
       req.detach = detach;
-      req.faultInject = submitFault;
+      if (!submitFaultPath.empty()) {
+        Result<std::string> plan = readFileText(submitFaultPath);
+        if (!plan.isOk()) return plan.status();
+        req.faultPlan = plan.take();
+      }
       Result<serve::SubmitOutcome> sub = client.submit(req);
       if (!sub.isOk()) return sub.status();
       if (!sub.value().accepted) {

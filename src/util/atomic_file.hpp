@@ -18,7 +18,8 @@ namespace syseco {
 ///
 /// `site` names the fault-injection site prefix for the staged write:
 /// the shim consults `<site>.write` and `<site>.fsync` (util/fault), so
-/// chaos schedules can fail any atomic replacement mid-flight. On any
+/// chaos schedules can fail any atomic replacement mid-flight (e.g. the
+/// fault-plan line `at 0 atomic.fsync fsync-fail`). On any
 /// failure - injected or real - the staging file is unlinked and `path`
 /// still holds its previous complete content.
 Status writeFileAtomic(const std::string& path, std::string_view content,

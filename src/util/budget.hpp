@@ -18,7 +18,8 @@
 // tripped ancestor trips every descendant at its next checkpoint.
 //
 // Fault injection: checkpoint(site) consults util/fault.hpp when a site tag
-// is given, so tests can force either exhaustion code at any polling site.
+// is given, so tests can force either exhaustion code at any polling site
+// (e.g. the fault-plan line `from 0 syseco.refine budget`, or `deadline`).
 
 #include <atomic>
 #include <chrono>

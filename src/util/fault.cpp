@@ -71,11 +71,6 @@ Injector& Injector::instance() {
   return injector;
 }
 
-Injector::Injector() {
-  if (const char* env = std::getenv("SYSECO_FAULT_INJECT"))
-    configure(env, &envBadClause_);
-}
-
 void Injector::arm(std::string site, Kind kind, std::uint64_t skip,
                    std::uint64_t arg) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -194,59 +189,6 @@ std::optional<Fired> Injector::fireDetail(std::string_view site) {
   // atexit handlers and stream flushes, like the SIGKILL it simulates.
   if (due->kind == Kind::kCrash) std::_Exit(kCrashExitCode);
   return Fired{due->kind, due->arg};
-}
-
-bool Injector::configure(std::string_view spec, std::string* badClause) {
-  bool allOk = true;
-  auto reject = [&](std::string_view clause) {
-    if (allOk && badClause != nullptr) *badClause = std::string(clause);
-    allOk = false;
-  };
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t comma = spec.find(',', pos);
-    if (comma == std::string_view::npos) comma = spec.size();
-    const std::string_view clause = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (clause.empty()) continue;
-
-    const std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos || eq == 0) {
-      reject(clause);
-      continue;
-    }
-    std::string_view kindPart = clause.substr(eq + 1);
-    std::uint64_t skip = 0;
-    if (const std::size_t at = kindPart.find('@');
-        at != std::string_view::npos) {
-      const std::string_view skipPart = kindPart.substr(at + 1);
-      kindPart = kindPart.substr(0, at);
-      if (skipPart.empty()) {
-        reject(clause);
-        continue;
-      }
-      skip = 0;
-      bool digits = true;
-      for (char c : skipPart) {
-        if (c < '0' || c > '9') {
-          digits = false;
-          break;
-        }
-        skip = skip * 10 + static_cast<std::uint64_t>(c - '0');
-      }
-      if (!digits) {
-        reject(clause);
-        continue;
-      }
-    }
-    const std::optional<Kind> kind = kindFromName(kindPart);
-    if (!kind) {
-      reject(clause);
-      continue;
-    }
-    arm(std::string(clause.substr(0, eq)), *kind, skip);
-  }
-  return allOk;
 }
 
 namespace {

@@ -6,18 +6,18 @@
 // timing-dependent in production, which makes the code that reacts to them
 // (staged degradation, cone-clone fallback, structured parser errors) the
 // least-tested code in the engine. This hook lets tests - and operators,
-// via the SYSECO_FAULT_INJECT environment variable - force those outcomes
-// at named sites so every degradation path runs deterministically.
+// via a fault plan (util/fault_plan.hpp) named by SYSECO_FAULT_PLAN - force
+// those outcomes at named sites so every degradation path runs
+// deterministically. A plan line arms one trigger:
 //
-// Environment syntax (comma-separated triggers):
-//
-//   SYSECO_FAULT_INJECT="<site>=<kind>[@<skip>][,...]"
+//   from <skip> <site> <kind> [arg]   # persistent, from hit <skip> on
+//   at <hit> <site> <kind> [arg]      # one-shot, exactly at hit <hit>
 //
 //   kind: budget | deadline | bdd | alloc | crash | oom | hang |
 //         garbage-ipc | wrong-patch | net-truncate | net-reset | net-delay |
 //         enospc | eio | short-write | fsync-fail | torn-frame
 //   skip: number of hits at the site to let through before firing
-//         (default 0: fire from the first hit onward)
+//         (0: fire from the first hit onward)
 //
 // `crash` is special: the process exits immediately (std::_Exit(137),
 // mirroring a SIGKILL) with no cleanup, destructors or buffer flushes -
@@ -25,15 +25,18 @@
 // survive. It fires centrally inside Injector::fireDetail, so every armed
 // site doubles as a crash site.
 //
-// e.g. SYSECO_FAULT_INJECT="syseco.sampling=budget,syseco.pointsets=bdd@1"
+// e.g. SYSECO_FAULT_PLAN=plan.txt, with plan.txt holding
+//   from 0 syseco.sampling budget
+//   from 1 syseco.pointsets bdd
 //
 // Sites are plain string tags; the instrumented locations are listed next
 // to their call sites (grep for fault::fire) and tabulated in the README.
-// An env-armed trigger keeps firing once its skip count is consumed -
-// degradation must hold up under persistent, not transient, exhaustion.
-// Scheduled triggers (Injector::schedule, util/fault_plan) fire exactly
-// once, at the k-th hit of their site: the reproducible "at hit k of site
-// S, inject kind K" schedules the chaos harness sweeps.
+// A persistent trigger (Injector::arm, a plan's `from` line) keeps firing
+// once its skip count is consumed - degradation must hold up under
+// persistent, not transient, exhaustion. Scheduled triggers
+// (Injector::schedule, a plan's `at` line) fire exactly once, at the k-th
+// hit of their site: the reproducible "at hit k of site S, inject kind K"
+// schedules the chaos harness sweeps.
 //
 // Hit counting is per site, shared by every trigger on that site, so a
 // schedule with several entries on one site sees one consistent ordinal
@@ -89,8 +92,8 @@ enum class Kind {
 /// genuinely killed process.
 inline constexpr int kCrashExitCode = 137;
 
-/// Canonical spelling of a kind (the SYSECO_FAULT_INJECT / fault-plan
-/// token), and its inverse. Unknown names map to nullopt.
+/// Canonical spelling of a kind (the fault-plan token), and its inverse.
+/// Unknown names map to nullopt.
 const char* kindName(Kind kind);
 std::optional<Kind> kindFromName(std::string_view name);
 
@@ -115,14 +118,14 @@ struct Fired {
 
 class Injector {
  public:
-  /// Process-wide instance, configured from SYSECO_FAULT_INJECT on first
-  /// access. Hit counting is serialized internally so instrumented sites
+  /// Process-wide instance, unarmed until a test or applyFaultPlan arms
+  /// it. Hit counting is serialized internally so instrumented sites
   /// may fire from worker threads; arming/resetting still belongs in
   /// single-threaded test setup.
   static Injector& instance();
 
-  /// Arms a persistent trigger programmatically (unit tests). Replaces any
-  /// existing persistent trigger on the same site.
+  /// Arms a persistent trigger (a plan's `from` entry, or a unit test).
+  /// Replaces any existing persistent trigger on the same site.
   void arm(std::string site, Kind kind, std::uint64_t skip = 0,
            std::uint64_t arg = 0);
 
@@ -150,15 +153,6 @@ class Injector {
     return armedCount_.load(std::memory_order_relaxed) == 0;
   }
 
-  /// Parses the environment syntax; returns false (and arms nothing from
-  /// the bad clause) on a malformed clause. `badClause`, when given,
-  /// receives the first malformed clause.
-  bool configure(std::string_view spec, std::string* badClause = nullptr);
-
-  /// First malformed clause of SYSECO_FAULT_INJECT as parsed at
-  /// construction; empty when the variable was unset or well-formed.
-  const std::string& envBadClause() const { return envBadClause_; }
-
   /// Durable one-shot consumption log: when set, a firing one-shot trigger
   /// appends "<skip> <site> <kind>\n" to `path` (O_APPEND, fsync'd) BEFORE
   /// acting, so a crash-injecting schedule shared by a process tree (plan
@@ -167,7 +161,7 @@ class Injector {
   void setFireLog(std::string path);
 
  private:
-  Injector();
+  Injector() = default;
   void logFired(const Trigger& t);
 
   mutable std::mutex mutex_;
@@ -175,7 +169,6 @@ class Injector {
   /// site -> hits observed (shared by every trigger on the site).
   std::vector<std::pair<std::string, std::uint64_t>> siteHits_;
   std::string fireLogPath_;
-  std::string envBadClause_;
   std::atomic<std::size_t> armedCount_{0};
 };
 

@@ -13,7 +13,9 @@ bool parseU64(std::string_view text, std::uint64_t* out) {
   std::uint64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;  // would wrap
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
@@ -55,6 +57,7 @@ Result<std::string> slurpFile(const std::string& path) {
 
 Result<FaultPlan> parseFaultPlan(std::string_view text) {
   FaultPlan plan;
+  std::vector<std::pair<std::string, std::size_t>> fromLines;  // site, line
   std::size_t lineNo = 0;
   std::size_t pos = 0;
   while (pos <= text.size()) {
@@ -93,6 +96,16 @@ Result<FaultPlan> parseFaultPlan(std::string_view text) {
     entry.kind = *kind;
     if (tokens.size() == 5 && !parseU64(tokens[4], &entry.arg)) {
       return Status::invalidInput(where + ": bad arg '" + tokens[4] + "'");
+    }
+    if (!entry.oneShot) {
+      for (const auto& [site, line] : fromLines) {
+        if (site != entry.site) continue;
+        return Status::invalidInput(
+            where + ": second 'from' entry for site '" + site +
+            "' (first on line " + std::to_string(line) +
+            "); a site takes one persistent trigger");
+      }
+      fromLines.emplace_back(entry.site, lineNo);
     }
     plan.entries.push_back(std::move(entry));
   }
@@ -236,6 +249,12 @@ Status applyFaultPlan(const FaultPlan& plan, const std::string& planPath) {
 }
 
 Status loadFaultPlanFromEnv() {
+  if (std::getenv("SYSECO_FAULT_INJECT") != nullptr) {
+    return Status::invalidInput(
+        "SYSECO_FAULT_INJECT is retired: write each <site>=<kind>[@<skip>] "
+        "clause as a line 'from <skip> <site> <kind>' of a plan file and "
+        "name it with SYSECO_FAULT_PLAN");
+  }
   const char* env = std::getenv("SYSECO_FAULT_PLAN");
   if (env == nullptr || env[0] == '\0') return Status::ok();
   const std::string path(env);
@@ -250,13 +269,6 @@ Status loadFaultPlanFromEnv() {
                                 plan.status().message());
   }
   return applyFaultPlan(plan.value(), path);
-}
-
-Status checkFaultInjectEnv() {
-  const std::string& bad = Injector::instance().envBadClause();
-  if (bad.empty()) return Status::ok();
-  return Status::invalidInput("SYSECO_FAULT_INJECT: malformed clause '" + bad +
-                              "' (expected <site>=<kind>[@<skip>])");
 }
 
 }  // namespace syseco::fault

@@ -3,17 +3,21 @@
 // util/fault.
 //
 // A fault plan is a small text file of reproducible injection entries -
-// "at the k-th hit of site S, inject kind K" - that replaces the ad-hoc
-// one-shot SYSECO_FAULT_INJECT matching for chaos testing. Plans are
-// generated from a 64-bit seed (generateChaosPlan), serialized to disk,
-// and loaded by every process in the run tree via SYSECO_FAULT_PLAN, so
-// one seed reproduces one exact storm of storage, process and network
-// faults across the CLI, the daemon, and every exec'd worker.
+// "at the k-th hit of site S, inject kind K" - and the only way to arm a
+// fault from outside a process: the CLI loads the file named by
+// SYSECO_FAULT_PLAN before any mode runs, and so does every exec'd worker
+// that inherits the variable. Chaos plans are generated from a 64-bit seed
+// (generateChaosPlan), so one seed reproduces one exact storm of storage,
+// process and network faults across the CLI, the daemon, and every worker;
+// a daemon job submitted with a plan runs its worker under that plan alone.
 //
 // File format (one entry per line, '#' comments, blank lines ignored):
 //
 //   at <hit> <site> <kind> [arg]     # fire once, at hit ordinal <hit>
 //   from <hit> <site> <kind> [arg]   # fire persistently from <hit> on
+//
+// <hit> and [arg] are decimal and at most 2^64-1. A site takes at most one
+// `from` entry (a second would silently replace the first).
 //
 // e.g.
 //   # seed 42
@@ -54,7 +58,7 @@ struct FaultPlan {
 };
 
 /// Parses the plan text; returns kInvalidInput naming the offending line
-/// on any malformed entry.
+/// on any malformed entry (both lines for a site's second `from` entry).
 Result<FaultPlan> parseFaultPlan(std::string_view text);
 
 /// Canonical serialization (parseFaultPlan round-trips it).
@@ -89,12 +93,8 @@ Status applyFaultPlan(const FaultPlan& plan, const std::string& planPath);
 /// Loads and arms the plan named by SYSECO_FAULT_PLAN, if set. Unset env
 /// is ok (no-op); a set-but-unreadable or malformed plan is an error -
 /// silently ignoring a requested fault schedule would turn a chaos run
-/// into a false-green reference run.
+/// into a false-green reference run. For the same reason the retired
+/// one-shot variable is an error naming the plan form that replaces it.
 Status loadFaultPlanFromEnv();
-
-/// The same fail-closed rule for the one-shot SYSECO_FAULT_INJECT syntax:
-/// an error naming the first malformed clause (a misspelled kind would
-/// otherwise run fault-free and pass), ok when unset or well-formed.
-Status checkFaultInjectEnv();
 
 }  // namespace syseco::fault

@@ -32,6 +32,11 @@
 // OracleDisagreement: the counterexample is ddmin-shrunk against the
 // simulator and handed to the caller for repro-bundle packaging and
 // quarantine.
+//
+// Fault sites (util/fault_plan.hpp): the plan line `from 0 oracle.bdd bdd`
+// makes the BDD route report skipped(budget), and the engine's
+// `from 0 oracle.wrong-patch wrong-patch` miscompiles the last committed
+// output so the oracle must refute and quarantine it.
 
 #include <cstdint>
 #include <string>

@@ -188,6 +188,7 @@ TEST(BatchCodec, LedgerEventRoundtrips) {
   e.cacheHits = 10;
   e.cacheMisses = 20;
   e.cacheEvictions = 30;
+  e.faultPlan = "from 0 journal.checkpoint crash\n";
   Result<JournalServeEvent> back = parseServeEvent(serializeServeEvent(e));
   ASSERT_TRUE(back.isOk()) << back.status().toString();
   EXPECT_EQ(back.value().event, "running");
@@ -202,6 +203,18 @@ TEST(BatchCodec, LedgerEventRoundtrips) {
   EXPECT_EQ(back.value().cacheHits, 10u);
   EXPECT_EQ(back.value().cacheMisses, 20u);
   EXPECT_EQ(back.value().cacheEvictions, 30u);
+  EXPECT_EQ(back.value().faultPlan, "from 0 journal.checkpoint crash\n");
+
+  // A record from before fault plans joined the WAL (its one-shot
+  // "fault_inject" key instead of "fault_plan") still folds, plan-free.
+  std::string old = serializeServeEvent(e);
+  const std::size_t at = old.find("\"fault_plan\"");
+  ASSERT_NE(at, std::string::npos);
+  old.replace(at, 12, "\"fault_inject\"");
+  back = parseServeEvent(old);
+  ASSERT_TRUE(back.isOk()) << back.status().toString();
+  EXPECT_EQ(back.value().faultPlan, "");
+  EXPECT_EQ(back.value().job, "alu-seed2");
 }
 
 TEST(BatchCodec, LedgerEventFailsClosedOnHostileInput) {

@@ -229,6 +229,34 @@ TEST_F(ChaosTest, PlanParserNamesTheOffendingLine) {
 
   EXPECT_FALSE(fault::parseFaultPlan("at 0 site no-such-kind\n").isOk());
   EXPECT_FALSE(fault::parseFaultPlan("maybe 0 site eio\n").isOk());
+
+  // 2^64 + 1 would wrap to hit 1; 2^64 - 1 is the largest ordinal and arg.
+  ASSERT_TRUE(fault::parseFaultPlan("at 18446744073709551615 journal.write "
+                                    "torn-frame 18446744073709551615\n")
+                  .isOk());
+  for (const char* overflow :
+       {"# c\nat 18446744073709551617 journal.write eio\n",
+        "# c\nat 0 journal.write torn-frame 18446744073709551616\n"}) {
+    bad = fault::parseFaultPlan(overflow);
+    ASSERT_FALSE(bad.isOk()) << overflow;
+    EXPECT_NE(bad.status().toString().find("line 2"), std::string::npos)
+        << bad.status().toString();
+  }
+
+  // A second persistent entry on one site would replace the first, which
+  // then never fires; the plan is refused, naming both lines. An `at`
+  // entry beside a `from` on the same site is fine.
+  bad = fault::parseFaultPlan(
+      "from 0 syseco.refine budget\nat 1 syseco.refine bdd\n"
+      "from 3 syseco.refine deadline\n");
+  ASSERT_FALSE(bad.isOk());
+  EXPECT_NE(bad.status().toString().find("line 3"), std::string::npos)
+      << bad.status().toString();
+  EXPECT_NE(bad.status().toString().find("line 1"), std::string::npos)
+      << bad.status().toString();
+  EXPECT_TRUE(fault::parseFaultPlan("from 0 syseco.refine budget\n"
+                                    "at 1 syseco.refine bdd\n")
+                  .isOk());
 }
 
 TEST_F(ChaosTest, GeneratedPlansAreSeedDeterministic) {
@@ -248,11 +276,16 @@ TEST_F(ChaosTest, GeneratedPlansAreSeedDeterministic) {
 }
 
 TEST_F(ChaosTest, AppliedPlanArmsTheInjector) {
-  fault::FaultPlan plan;
-  plan.entries.push_back({1, true, "chaos.site", fault::Kind::kEio, 0});
-  ASSERT_TRUE(fault::applyFaultPlan(plan, "").isOk());
+  Result<fault::FaultPlan> plan = fault::parseFaultPlan(
+      "at 1 chaos.site eio\nfrom 1 persistent.site bdd\n");
+  ASSERT_TRUE(plan.isOk()) << plan.status().toString();
+  ASSERT_TRUE(fault::applyFaultPlan(plan.value(), "").isOk());
   EXPECT_FALSE(fault::fire("chaos.site").has_value());
   EXPECT_EQ(fault::fire("chaos.site"), fault::Kind::kEio);
+  // `from 1` lets hit 0 through, then fires on every later hit.
+  EXPECT_FALSE(fault::fire("persistent.site").has_value());
+  EXPECT_EQ(fault::fire("persistent.site"), fault::Kind::kBddBlowup);
+  EXPECT_EQ(fault::fire("persistent.site"), fault::Kind::kBddBlowup);
 }
 
 TEST_F(ChaosTest, FiredLogStopsReplayAcrossLives) {

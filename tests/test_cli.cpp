@@ -1,6 +1,7 @@
 // The CLI's option and environment surface fails closed: an option the
-// engine no longer has is a usage error, and a malformed fault-injection
-// spec stops the run before any mode starts instead of running fault-free.
+// engine no longer has is a usage error, and a malformed fault plan - or
+// the retired one-shot fault variable - stops the run before any mode
+// starts instead of running fault-free.
 
 #include <gtest/gtest.h>
 
@@ -69,7 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
     Flags, CliRetiredFlag,
     ::testing::Values("--rank structural", "--patch-minimize off",
                       "--bdd-reorder off", "--bdd-cache-bits 16",
-                      "--bdd-reorder-threshold 4096"),
+                      "--bdd-reorder-threshold 4096",
+                      "--fault-plan plan.txt"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name;
       for (const char* p = info.param; *p != '\0' && *p != ' '; ++p)
@@ -77,16 +79,32 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// --- SYSECO_FAULT_INJECT ----------------------------------------------------
+// --- SYSECO_FAULT_PLAN -----------------------------------------------------
 
 TEST(CliFaultInject, MisspelledKindFailsClosedBeforeTheRun) {
   const std::string dir = freshDir("inject");
-  const int rc = runCli("SYSECO_FAULT_INJECT='journal.checkpoint=crsh'",
+  std::ofstream(dir + "/typo.plan") << "# crash loop\n"
+                                    << "from 0 journal.checkpoint crsh\n";
+  const int rc = runCli("SYSECO_FAULT_PLAN='" + dir + "/typo.plan'",
                         "--journal " + dir + "/j", dir + "/log");
-  EXPECT_EQ(rc, 3);  // kExitInvalidInput, like a malformed fault plan
+  EXPECT_EQ(rc, 3);  // kExitInvalidInput
   const std::string log = slurp(dir + "/log");
-  EXPECT_NE(log.find("'journal.checkpoint=crsh'"), std::string::npos) << log;
+  EXPECT_NE(log.find("line 2: unknown fault kind 'crsh'"), std::string::npos)
+      << log;
   // Rejected before mode dispatch: the engine never opened its journal.
+  struct stat st {};
+  EXPECT_NE(::stat((dir + "/j").c_str(), &st), 0);
+}
+
+TEST(CliFaultInject, RetiredVariableFailsClosedNamingThePlanForm) {
+  const std::string dir = freshDir("retired_env");
+  const int rc = runCli("SYSECO_FAULT_INJECT='journal.checkpoint=crash'",
+                        "--journal " + dir + "/j", dir + "/log");
+  // kExitInvalidInput: ignoring it would turn a crash test into a pass.
+  EXPECT_EQ(rc, 3);
+  const std::string log = slurp(dir + "/log");
+  EXPECT_NE(log.find("SYSECO_FAULT_PLAN"), std::string::npos) << log;
+  EXPECT_NE(log.find("from <skip> <site> <kind>"), std::string::npos) << log;
   struct stat st {};
   EXPECT_NE(::stat((dir + "/j").c_str(), &st), 0);
 }

@@ -511,9 +511,11 @@ class IsolateFaultMatrix : public IsolateCliTest,
     const std::uint32_t victim = static_cast<std::uint32_t>(
         std::strtoul(ref.c_str() + idBegin, nullptr, 10));
 
-    const std::string env = "SYSECO_FAULT_INJECT='isolate.worker.o" +
-                            std::to_string(victim) + "=" + fc.kind + "'";
-    EXPECT_EQ(runCli(env, base + " --report " + dir + "/fault.json",
+    const std::string plan = dir + "/fault.plan";
+    std::ofstream(plan) << "from 0 isolate.worker.o" << victim << ' '
+                        << fc.kind << '\n';
+    EXPECT_EQ(runCli("SYSECO_FAULT_PLAN='" + plan + "'",
+                     base + " --report " + dir + "/fault.json",
                      dir + "/fault.log"),
               4)
         << slurp(dir + "/fault.log");

@@ -334,6 +334,14 @@ class ResumeCliTest : public ::testing::Test {
     return WIFEXITED(rc) ? WEXITSTATUS(rc) : 128 + WTERMSIG(rc);
   }
 
+  /// Writes the one-entry fault plan `entry` to `path`; returns the
+  /// environment prefix that arms it.
+  static std::string planEnv(const std::string& path,
+                             const std::string& entry) {
+    std::ofstream(path) << entry << '\n';
+    return "SYSECO_FAULT_PLAN='" + path + "'";
+  }
+
   /// Strips wall-clock timing from a report so two runs can be compared
   /// byte-for-byte on everything that must be deterministic.
   static std::string normalizeReport(std::string text) {
@@ -370,13 +378,16 @@ TEST_F(ResumeCliTest, CrashInjectedRunResumesToTheSameReport) {
 
   // Crash (simulated kill -9) after each successive checkpoint commits,
   // resuming after every crash; the chain must converge to the reference.
-  ASSERT_EQ(runCli("SYSECO_FAULT_INJECT='journal.checkpoint=crash'",
+  ASSERT_EQ(runCli(planEnv(dir + "/crash0.plan",
+                           "from 0 journal.checkpoint crash"),
                    base + " --journal " + dir + "/j", dir + "/crash0.log"),
             fault::kCrashExitCode);
+  const std::string crash1 =
+      planEnv(dir + "/crash1.plan", "from 1 journal.checkpoint crash");
   for (int round = 1;; ++round) {
     const std::string log = dir + "/resume" + std::to_string(round) + ".log";
     const int rc = runCli(
-        "SYSECO_FAULT_INJECT='journal.checkpoint=crash@1'",
+        crash1,
         base + " --resume " + dir + "/j --report " + dir + "/resumed.json",
         log);
     if (rc == fault::kCrashExitCode) {
@@ -399,7 +410,8 @@ TEST_F(ResumeCliTest, CorruptJournalIsNeverSilentlyCertified) {
   ASSERT_EQ(runCli("", base + " --report " + dir + "/ref.json",
                    dir + "/ref.log"),
             0);
-  ASSERT_EQ(runCli("SYSECO_FAULT_INJECT='journal.checkpoint=crash@1'",
+  ASSERT_EQ(runCli(planEnv(dir + "/crash.plan",
+                           "from 1 journal.checkpoint crash"),
                    base + " --journal " + dir + "/j", dir + "/crash.log"),
             fault::kCrashExitCode);
 

@@ -69,7 +69,7 @@ TEST(ServeCodec, SubmitRoundtripsEveryField) {
   r.jobs = 4;
   r.isolate = true;
   r.detach = true;
-  r.faultInject = "isolate.worker=hang";
+  r.faultPlan = "from 0 isolate.worker hang\n";
   Result<SubmitRequest> back = decodeSubmit(encodeSubmit(r));
   ASSERT_TRUE(back.isOk()) << back.status().toString();
   EXPECT_EQ(back.value().tenant, "team-a");
@@ -80,7 +80,7 @@ TEST(ServeCodec, SubmitRoundtripsEveryField) {
   EXPECT_EQ(back.value().jobs, 4);
   EXPECT_TRUE(back.value().isolate);
   EXPECT_TRUE(back.value().detach);
-  EXPECT_EQ(back.value().faultInject, "isolate.worker=hang");
+  EXPECT_EQ(back.value().faultPlan, "from 0 isolate.worker hang\n");
 }
 
 TEST(ServeCodec, SubmitRejectsHostileBytes) {
@@ -512,7 +512,7 @@ SubmitRequest aluRequest(std::uint64_t seed) {
 SubmitRequest hangingRequest(std::uint64_t seed, bool detach) {
   SubmitRequest r = aluRequest(seed);
   r.isolate = true;
-  r.faultInject = "isolate.worker=hang";
+  r.faultPlan = "from 0 isolate.worker hang\n";
   r.detach = detach;
   return r;
 }
@@ -558,7 +558,7 @@ TEST(ServeDaemon, CrashingJobIsQuarantinedAtTheAttemptCeiling) {
   // cannot finish the alu case, so the watchdog must quarantine instead
   // of looping forever.
   SubmitRequest req = aluRequest(7);
-  req.faultInject = "journal.checkpoint=crash@0";
+  req.faultPlan = "from 0 journal.checkpoint crash\n";
   Result<SubmitOutcome> sub = client.submit(req);
   ASSERT_TRUE(sub.isOk());
   ASSERT_TRUE(sub.value().accepted);
@@ -587,6 +587,18 @@ TEST(ServeDaemon, AdmissionShedsLoadWithStructuredReasons) {
   ASSERT_TRUE(bad.isOk()) << bad.status().toString();
   ASSERT_FALSE(bad.value().accepted);
   EXPECT_EQ(bad.value().rejected.reason, "bad-request");
+
+  // So are malformed fault plans: a typo'd kind would otherwise spawn a
+  // worker that exits 3 and is recorded done.
+  SubmitRequest badPlan = aluRequest(1);
+  badPlan.faultPlan = "from 0 journal.checkpoint crsh\n";
+  bad = client.submit(badPlan);
+  ASSERT_TRUE(bad.isOk()) << bad.status().toString();
+  ASSERT_FALSE(bad.value().accepted);
+  EXPECT_EQ(bad.value().rejected.reason, "bad-request");
+  EXPECT_NE(bad.value().rejected.detail.find("line 1: unknown fault kind"),
+            std::string::npos)
+      << bad.value().rejected.detail;
 
   Result<SubmitOutcome> first = client.submit(hangingRequest(1, true));
   ASSERT_TRUE(first.isOk());
@@ -801,6 +813,7 @@ TEST_F(ServeCliTest, SigkilledDaemonRecoversItsQueueAndDrainsBitIdentical) {
 
   // Daemon life 1: two self-crashing jobs (one committed checkpoint per
   // attempt), then SIGKILL the daemon while they are mid-heal.
+  std::ofstream(dir + "/crash.plan") << "from 0 journal.checkpoint crash\n";
   int port = 0;
   const pid_t first =
       spawnDaemon(dir, "d1", "--serve-pool 1 --serve-attempts 40", &port);
@@ -809,8 +822,7 @@ TEST_F(ServeCliTest, SigkilledDaemonRecoversItsQueueAndDrainsBitIdentical) {
     const std::string tag = std::to_string(seed);
     ASSERT_EQ(runCli("--connect 127.0.0.1:" + std::to_string(port) + " " +
                          pair + " --seed " + tag +
-                         " --detach --submit-fault "
-                         "journal.checkpoint=crash@0",
+                         " --detach --submit-fault " + dir + "/crash.plan",
                      dir + "/submit" + tag + ".log"),
               0)
         << slurp(dir + "/submit" + tag + ".log");

@@ -164,21 +164,6 @@ TEST_F(StatusTest, InjectorHonorsSkipCount) {
   EXPECT_TRUE(fault::fire("unit.skip").has_value());
 }
 
-TEST_F(StatusTest, InjectorParsesEnvironmentSyntax) {
-  auto& inj = fault::Injector::instance();
-  EXPECT_TRUE(inj.configure("a.site=budget,b.site=bdd@1"));
-  ASSERT_TRUE(fault::fire("a.site").has_value());
-  EXPECT_EQ(*fault::fire("a.site"), fault::Kind::kBudgetExhausted);
-  EXPECT_FALSE(fault::fire("b.site").has_value());  // skipping first hit
-  ASSERT_TRUE(fault::fire("b.site").has_value());
-  EXPECT_EQ(*fault::fire("b.site"), fault::Kind::kBddBlowup);
-
-  inj.reset();
-  EXPECT_FALSE(inj.configure("broken-clause"));
-  EXPECT_FALSE(inj.configure("a.site=unknown-kind"));
-  EXPECT_TRUE(inj.empty());
-}
-
 TEST_F(StatusTest, GuardCheckpointMapsInjectedFaults) {
   auto& inj = fault::Injector::instance();
   inj.arm("guard.site", fault::Kind::kDeadlineExceeded);
