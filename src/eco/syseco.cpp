@@ -25,6 +25,7 @@
 #include "util/check.hpp"
 #include "util/fault.hpp"
 #include "util/ipc.hpp"
+#include "util/journal.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "util/subprocess.hpp"
@@ -174,11 +175,10 @@ class Engine {
     ownedSpecAnalysis_ = std::make_unique<NetlistAnalysis>(spec_);
     specAnalysis_ = ownedSpecAnalysis_.get();
 
-    // Speculative parallel mode needs a resource-unlimited run (fair-share
-    // slicing is inherently completion-order-dependent) and, on resume, a
-    // plan that carries the unpatched base netlist.
-    const bool speculative =
-        !rootGuard_.limited() && (!plan || plan->base.numOutputs() > 0);
+    // Speculative parallel mode needs a resource-unlimited run: fair-share
+    // slicing is inherently completion-order-dependent. A resume plan always
+    // carries the unpatched base netlist the speculative workers search from.
+    const bool speculative = !rootGuard_.limited();
 
     std::vector<std::uint32_t> failing;
     if (plan) {
@@ -257,9 +257,6 @@ class Engine {
       Timer verifyPhase;
       if (opt_.oracle.enabled) {
         certifyRun();
-      } else if (speculative && opt_.jobs > 1) {
-        ThreadPool pool(opt_.jobs);
-        result_.success = verifyAllOutputs(result_.rectified, spec_, pool);
       } else {
         result_.success = verifyAllOutputs(result_.rectified, spec_);
       }
@@ -275,8 +272,8 @@ class Engine {
 
   /// The original fair-share sequential cascade. Used whenever the governor
   /// imposes limits (slice sizes depend on completion order, so speculation
-  /// cannot reproduce them) or a hand-built resume plan lacks the base
-  /// netlist. Returns true when a checkpoint hook interrupted the run.
+  /// cannot reproduce them). Returns true when a checkpoint hook
+  /// interrupted the run.
   bool runSequential(const std::vector<std::uint32_t>& failing) {
     for (std::size_t k = 0; k < failing.size(); ++k) {
       // Fair-share slicing: each output is entitled to 1/left of whatever
@@ -726,14 +723,6 @@ class Engine {
   /// best-effort, shipping a wrong patch is not).
   std::string writeDisagreementBundle(const OracleDisagreement& d,
                                       const OutputCertificate& cert) {
-    auto esc = [](const std::string& s) {
-      std::string out;
-      for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20) out += c;
-      }
-      return out;
-    };
     std::string cexTxt;
     if (d.cex.empty()) {
       cexTxt = "(counterexample unavailable)\n";
@@ -754,7 +743,7 @@ class Engine {
     std::string meta = "{\n";
     meta += "  \"schema_version\": 1,\n";
     meta += "  \"output\": " + std::to_string(d.output) + ",\n";
-    meta += "  \"output_name\": \"" + esc(d.name) + "\",\n";
+    meta += "  \"output_name\": \"" + jsonEscape(d.name) + "\",\n";
     meta += "  \"seed\": " + std::to_string(opt_.seed) + ",\n";
     meta += "  \"verdicts\": {\n";
     meta += std::string("    \"sat\": \"") +

@@ -72,8 +72,7 @@ struct ResumePlan {
   /// The original unpatched implementation (CRC-verified against the
   /// journal). Speculative per-output workers always search from this base
   /// snapshot, so a resumed run reproduces the uninterrupted run's worker
-  /// results exactly. Empty (no outputs) on hand-built plans, which forces
-  /// the sequential path.
+  /// results exactly. `prepareResume` always sets it.
   Netlist base;
 };
 

@@ -706,14 +706,43 @@ int main(int argc, char** argv) {
   }
   if (!connectSpec.empty()) {
     // Client mode: talk to a --serve daemon. Transport failures exit 2;
-    // structured rejections and unknown jobs exit 3; otherwise the job's
-    // own verdict becomes the client's exit code.
+    // unreadable input files, structured rejections and unknown jobs exit
+    // 3; otherwise the job's own verdict becomes the client's exit code.
     Result<std::pair<std::string, std::uint16_t>> hostPort =
         net::parseHostPort(connectSpec);
     if (!hostPort.isOk()) {
       std::fprintf(stderr, "error: %s\n",
                    hostPort.status().toString().c_str());
       return kExitInvalidInput;
+    }
+    // A submission's files are read before connecting, so a bad path is
+    // an input error whatever the daemon's state.
+    const bool submitting =
+        cancelJob.empty() && statusJob.empty() && waitJob.empty();
+    serve::SubmitRequest req;
+    if (submitting) {
+      if (implPath.empty() || specPath.empty()) usage(argv[0]);
+      auto readInto = [](const std::string& path, std::string* text) {
+        Result<std::string> read = readFileText(path);
+        if (!read.isOk()) {
+          std::fprintf(stderr, "error: %s\n",
+                       read.status().toString().c_str());
+          return false;
+        }
+        *text = read.take();
+        return true;
+      };
+      if (!readInto(implPath, &req.implText) ||
+          !readInto(specPath, &req.specText) ||
+          (!submitFaultPath.empty() &&
+           !readInto(submitFaultPath, &req.faultPlan)))
+        return kExitInvalidInput;
+      req.tenant = tenant;
+      req.format = formatOf(implPath);
+      req.seed = opt.seed;
+      req.jobs = static_cast<std::int64_t>(opt.jobs);
+      req.isolate = opt.isolate;
+      req.detach = detach;
     }
     Result<serve::ServeClient> connected = serve::ServeClient::connect(
         hostPort.value().first, hostPort.value().second, 5000);
@@ -780,25 +809,6 @@ int main(int argc, char** argv) {
         Result<serve::JobState> st = client.wait(waitJob);
         if (!st.isOk()) return st.status();
         return finish(st.value());
-      }
-      if (implPath.empty() || specPath.empty()) usage(argv[0]);
-      Result<std::string> implText = readFileText(implPath);
-      if (!implText.isOk()) return implText.status();
-      Result<std::string> specText = readFileText(specPath);
-      if (!specText.isOk()) return specText.status();
-      serve::SubmitRequest req;
-      req.tenant = tenant;
-      req.format = formatOf(implPath);
-      req.implText = implText.take();
-      req.specText = specText.take();
-      req.seed = opt.seed;
-      req.jobs = static_cast<std::int64_t>(opt.jobs);
-      req.isolate = opt.isolate;
-      req.detach = detach;
-      if (!submitFaultPath.empty()) {
-        Result<std::string> plan = readFileText(submitFaultPath);
-        if (!plan.isOk()) return plan.status();
-        req.faultPlan = plan.take();
       }
       Result<serve::SubmitOutcome> sub = client.submit(req);
       if (!sub.isOk()) return sub.status();

@@ -1,8 +1,6 @@
 #include "util/build_info.hpp"
 
-namespace syseco {
-
-namespace {
+#include "util/journal.hpp"
 
 #ifndef SYSECO_GIT_HASH
 #define SYSECO_GIT_HASH "unknown"
@@ -14,30 +12,7 @@ namespace {
 #define SYSECO_SANITIZE_MODE "OFF"
 #endif
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xF];
-          out += hex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
+namespace syseco {
 
 const BuildInfo& buildInfo() {
   static const BuildInfo info{SYSECO_GIT_HASH, __VERSION__, SYSECO_BUILD_TYPE,

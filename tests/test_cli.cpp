@@ -1,7 +1,8 @@
 // The CLI's option and environment surface fails closed: an option the
-// engine no longer has is a usage error, and a malformed fault plan - or
-// the retired one-shot fault variable - stops the run before any mode
-// starts instead of running fault-free.
+// engine no longer has is a usage error, a malformed fault plan - or the
+// retired one-shot fault variable - stops the run before any mode starts
+// instead of running fault-free, and an unreadable file is an input error
+// in client mode as it is in a local run.
 
 #include <gtest/gtest.h>
 
@@ -107,6 +108,24 @@ TEST(CliFaultInject, RetiredVariableFailsClosedNamingThePlanForm) {
   EXPECT_NE(log.find("from <skip> <site> <kind>"), std::string::npos) << log;
   struct stat st {};
   EXPECT_NE(::stat((dir + "/j").c_str(), &st), 0);
+}
+
+// --- Client mode (--connect) -----------------------------------------------
+
+TEST(CliClient, UnreadableSubmissionFileIsAnInputError) {
+  const std::string dir = freshDir("client_missing");
+  // The files are read before connecting, so no daemon is needed: port 1
+  // would refuse the connection (exit 2) if the client got that far.
+  for (const std::string flag : {"--impl", "--spec", "--submit-fault"}) {
+    const std::string log = dir + "/" + flag.substr(2) + ".log";
+    const int rc = runCli("", "--connect 127.0.0.1:1 " + flag + " " + dir +
+                                  "/missing",
+                          log);
+    EXPECT_EQ(rc, 3) << flag << ": " << slurp(log);  // kExitInvalidInput
+    EXPECT_NE(slurp(log).find("cannot open '" + dir + "/missing'"),
+              std::string::npos)
+        << flag << ": " << slurp(log);
+  }
 }
 
 #endif  // SYSECO_CLI_BIN

@@ -527,12 +527,17 @@ TEST_F(VerifyTest, CleanRunWithoutReproDirStillQuarantinesWrongPatch) {
 }
 
 TEST_F(VerifyTest, LegacyNoOraclePathStillVerifies) {
-  SysecoOptions opt;
-  opt.oracle.enabled = false;
-  SysecoDiagnostics diag;
-  const EcoResult res = runSyseco(aluImpl(), aluSpec(), opt, &diag);
-  EXPECT_TRUE(res.success);
-  EXPECT_TRUE(diag.certificates.empty());
+  // Without the oracle the final check is the serial SAT verification at
+  // every --jobs.
+  for (std::size_t jobs : {1u, 4u}) {
+    SysecoOptions opt;
+    opt.oracle.enabled = false;
+    opt.jobs = jobs;
+    SysecoDiagnostics diag;
+    const EcoResult res = runSyseco(aluImpl(), aluSpec(), opt, &diag);
+    EXPECT_TRUE(res.success) << "jobs " << jobs;
+    EXPECT_TRUE(diag.certificates.empty()) << "jobs " << jobs;
+  }
 }
 
 TEST_F(VerifyTest, EngineBoundaryAuditsAreRecordedClean) {
